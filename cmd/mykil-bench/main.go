@@ -251,7 +251,7 @@ func run() int {
 			return err
 		}
 		printTable(r.Table())
-		verdict(r.SegmentCheaper(), "segment replication undercuts full snapshots")
+		verdict(r.ElectionCheap(), "median quorum election within half a takeover window of the silence threshold")
 		return nil
 	})
 

@@ -60,7 +60,7 @@ func run() error {
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 		tracePath   = flag.String("trace", "", "append protocol trace events to this file as JSON lines")
 		linger      = flag.Duration("linger", 0, "keep the group (and metrics endpoint) up this long after the run")
-		jdir        = flag.String("journal-dir", "", "enable durable journaling under this directory; rerunning with the same directory restarts the group from its journals")
+		jdir        = flag.String("journal-dir", "", "journal to disk under this directory instead of in memory; rerunning with the same directory restarts the group from its journals")
 		fsync       = flag.String("fsync", "always", "journal sync policy: always, interval, never, or group (concurrent appends share fsyncs at full durability)")
 		suite       = flag.String("suite", "", "cipher suite for key-tree and data-key sealing: legacy (default), aes-gcm, or chacha20-poly1305")
 		segBytes    = flag.Int64("segment-bytes", 0, "journal segment rotation threshold (0 = default)")

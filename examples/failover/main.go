@@ -1,8 +1,9 @@
 // Failover: the paper's §IV-C fault-tolerance machinery. An area
-// controller is replicated primary-backup; when the primary crashes, the
-// backup detects missed heartbeats, reconstructs the area from the
-// replicated state (auxiliary tree, member public keys, parent/child
-// identities), announces itself, and service continues. A second act
+// controller is replicated primary-backup: the backup pulls the
+// primary's journal, one record per state change. When the primary
+// crashes, the backup detects missed heartbeats, replays the journal into
+// the same area (auxiliary tree and keys, member public keys,
+// parent/child identities), announces itself, and service continues. A second act
 // crashes the root controller of a three-area tree and shows the orphan
 // controllers re-parenting from their preferred lists.
 //
@@ -37,7 +38,7 @@ func actOne() error {
 	g, err := core.New(
 		core.WithAreas(1),
 		core.WithRSABits(1024),
-		core.WithBackups(),
+		core.WithReplicas(1),
 		core.WithTIdle(40*time.Millisecond),
 		core.WithTActive(80*time.Millisecond),
 		core.WithHeartbeatEvery(40*time.Millisecond),
@@ -60,17 +61,20 @@ func actOne() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("two members joined; primary controller is syncing state to its backup")
+	fmt.Println("two members joined; the backup is pulling the primary's journal")
 
+	backup := g.Replica(0, 0)
 	deadline := time.Now().Add(20 * time.Second)
-	for g.Backup(0).StateMembers() != 2 {
+	// Each join is one journal record, so both are in once the backup
+	// has applied LSNs 1 and 2.
+	for backup.AppliedLSN() < 3 {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("backup never absorbed the member table")
+			return fmt.Errorf("backup never absorbed both joins")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	fmt.Printf("backup holds the replicated state: %d members, tree, parent/child identities\n",
-		g.Backup(0).StateMembers())
+	fmt.Printf("backup holds the primary's journal through LSN %d: both joins, with their tree keys\n",
+		backup.AppliedLSN()-1)
 
 	if err := sender.Send([]byte("before the crash")); err != nil {
 		return err
@@ -80,7 +84,7 @@ func actOne() error {
 	fmt.Println("\ncrashing the primary controller ...")
 	g.Net.Crash(core.ACAddr(0))
 	for {
-		if _, err := g.Backup(0).Promoted(); err == nil {
+		if _, err := backup.Promoted(); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

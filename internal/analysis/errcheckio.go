@@ -13,7 +13,8 @@ import (
 // journal Append turns the write-ahead log into a write-sometimes log.
 //
 // Flagged: an expression statement that calls Write/WriteString/Sync/
-// Close/Truncate on an *os.File, or Append/Snapshot/Sync/Close on a
+// Close/Truncate on an *os.File or on the journal's segment seam (which
+// an *os.File implements on disk), or Append/Snapshot/Sync/Close on a
 // journal.Journal, and drops the error. `defer f.Close()` is not flagged
 // (the idiom for read-side cleanup); a deliberate discard on a write path
 // takes `_ = f.Close()` plus a //lint:ignore with the reason.
@@ -67,6 +68,8 @@ func runErrCheckIO(p *Pass) {
 			switch {
 			case errcheckFileMethods[name] && isOSFile(recvType):
 				p.Reportf(call.Pos(), "error from (*os.File).%s is discarded on a durability path; check it or assign to _ with a //lint:ignore reason", name)
+			case errcheckFileMethods[name] && isNamedType(recvType, "journal", "segment"):
+				p.Reportf(call.Pos(), "error from (journal.segment).%s is discarded on a durability path; check it or assign to _ with a //lint:ignore reason", name)
 			case errcheckJournalMethods[name] && isNamedType(recvType, "journal", "Journal"):
 				p.Reportf(call.Pos(), "error from (journal.Journal).%s is discarded; the write-ahead guarantee (§IV) depends on it", name)
 			}

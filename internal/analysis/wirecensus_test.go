@@ -10,6 +10,7 @@ import (
 // kindInventory is the pinned census of wire kinds, in wire-value order.
 // Adding a kind to internal/wire means extending this list in the same
 // change — the analyzer, the runtime registry, and this test must agree.
+// An empty entry is a reserved value: no Kind constant, no decoder.
 var kindInventory = []string{
 	"JoinRequest", "JoinChallenge", "JoinResponse", "JoinRefer",
 	"JoinGrant", "JoinToAC", "JoinWelcome", "JoinDenied",
@@ -18,15 +19,16 @@ var kindInventory = []string{
 	"Data", "KeyUpdate", "PathUpdate",
 	"ACAlive", "MemberAlive", "LeaveNotice", "PathRequest",
 	"AreaJoinReq", "AreaJoinAck", "AreaJoinDenied",
-	"ReplicaSync", "ReplicaHeartbeat", "ACFailover",
+	"", // 26: the retired full-state ReplicaSync push
+	"ReplicaHeartbeat", "ACFailover",
 	"Election", "ElectionOK", "Coordinator", "SegmentPull", "SegmentPush",
 	"AreaReassign",
 }
 
 // TestWireKindCensus pins the analyzer's view of the wire package to the
 // runtime registry: every Kind constant wireexhaustive counts must have a
-// body factory, a protocol name, and a spot in the pinned inventory, with
-// dense values starting at 1.
+// body factory, a protocol name, and its spot in the pinned inventory,
+// and every reserved spot must stay without a constant or a decoder.
 func TestWireKindCensus(t *testing.T) {
 	pkg, err := getLoader(t).Load(wireDir)
 	if err != nil {
@@ -34,15 +36,21 @@ func TestWireKindCensus(t *testing.T) {
 	}
 	census := analysis.WireKindCensus(pkg)
 
-	if len(census) != len(kindInventory) {
-		t.Fatalf("census found %d Kind constants, want %d", len(census), len(kindInventory))
-	}
-	for i, k := range census {
-		if k.Value != uint64(i+1) {
-			t.Errorf("%s has value %d, want %d (kind values must stay dense from 1)", k.Name, k.Value, i+1)
+	var live int
+	for i, name := range kindInventory {
+		if name != "" {
+			live++
+		} else if _, ok := wire.NewBody(wire.Kind(i + 1)); ok {
+			t.Errorf("reserved kind %d has a decoder", i+1)
 		}
-		if k.WireName != kindInventory[i] {
-			t.Errorf("census[%d] = %s (%q), want %q", i, k.Name, k.WireName, kindInventory[i])
+	}
+	if len(census) != live {
+		t.Fatalf("census found %d Kind constants, want %d", len(census), live)
+	}
+	for _, k := range census {
+		if k.WireName == "" || k.Value < 1 || k.Value > uint64(len(kindInventory)) || k.WireName != kindInventory[k.Value-1] {
+			t.Errorf("%s (%q) has value %d, which the inventory does not give it", k.Name, k.WireName, k.Value)
+			continue
 		}
 		rt := wire.Kind(k.Value)
 		if got := rt.String(); got != k.WireName {
@@ -54,8 +62,8 @@ func TestWireKindCensus(t *testing.T) {
 	}
 	// The registry must be exactly the census: one past the end decodes
 	// as unknown.
-	if _, ok := wire.NewBody(wire.Kind(len(census) + 1)); ok {
-		t.Errorf("wire.NewBody accepts kind %d beyond the census", len(census)+1)
+	if _, ok := wire.NewBody(wire.Kind(len(kindInventory) + 1)); ok {
+		t.Errorf("wire.NewBody accepts kind %d beyond the inventory", len(kindInventory)+1)
 	}
 }
 

@@ -86,13 +86,8 @@ type Config struct {
 	PreferredParents []string
 	// Parent, if set, is joined (as an area member) at startup.
 	Parent *PeerInfo
-	// Backup, if set, receives state syncs and heartbeats. It is the
-	// legacy single-replica spelling of Replicas; when Replicas is empty
-	// it becomes the sole entry.
-	Backup *PeerInfo
 	// Replicas lists the replica set: every entry receives heartbeats
-	// and journal segments (or, unjournaled, full state syncs). The
-	// FIRST entry is the announcer — the replica whose address and key
+	// and pulls journal segments. The FIRST entry is the announcer — the replica whose address and key
 	// are advertised to members in welcomes, and the one that vouches
 	// for an election winner's takeover notice.
 	Replicas []PeerInfo
@@ -144,12 +139,14 @@ type Config struct {
 	// zero means runtime.GOMAXPROCS(0). The control plane (protocol
 	// state) stays single-threaded regardless.
 	DataWorkers int
-	// Journal, if set, makes the controller durable: every state
-	// mutation is appended as a record and periodically snapshotted, and
-	// NewFromJournal rebuilds the identical controller after a crash.
+	// Journal receives every state mutation as a record, periodically
+	// snapshotted; replicas pull its tail, and NewFromJournal rebuilds
+	// the identical controller from it. Nil means a fresh journal in
+	// memory: replication works the same, but nothing survives the
+	// process.
 	Journal *journal.Journal
 	// SnapshotEvery spaces journal snapshots in records; zero means
-	// DefaultSnapshotEvery. Only meaningful with Journal set.
+	// DefaultSnapshotEvery.
 	SnapshotEvery int
 	// Observer, if set, receives structured protocol trace events
 	// (handshake steps, rekeys, reseals, alive rounds, re-parenting).
@@ -189,9 +186,6 @@ func (cfg *Config) fillDefaults() error {
 	if cfg.HeartbeatEvery == 0 {
 		cfg.HeartbeatEvery = cfg.TIdle
 	}
-	if len(cfg.Replicas) == 0 && cfg.Backup != nil {
-		cfg.Replicas = []PeerInfo{*cfg.Backup}
-	}
 	for _, r := range cfg.Replicas {
 		if r.ID == "" || r.Addr == "" || r.Pub.IsZero() {
 			return fmt.Errorf("area: replica %q needs ID, Addr, and Pub", r.ID)
@@ -203,6 +197,9 @@ func (cfg *Config) fillDefaults() error {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	// A memory journal holds no OS resources, so nothing needs to close
+	// the one opened here.
+	cfg.Journal = journal.OrMemory(cfg.Journal, journal.Options{Clock: cfg.Clock, Logf: cfg.Logf})
 	return nil
 }
 
@@ -297,9 +294,6 @@ type Controller struct {
 	seenSeq map[string]uint64
 
 	// Replication.
-	stateSeq      uint64
-	lastSyncSeq   uint64
-	backupDirty   bool
 	lastHeartbeat time.Time
 
 	// Dynamic topology: members vouched-for ahead of a migration rejoin
@@ -311,8 +305,8 @@ type Controller struct {
 	splitFired bool
 	mergeFired bool
 
-	// Durability: the seeded key generator active during a journaled
-	// rekey (live or replayed), and the snapshot cadence counter.
+	// Durability: the seeded key generator active during a rekey (live
+	// or replayed), and the snapshot cadence counter.
 	detKG         replayKeyGen
 	recsSinceSnap int
 

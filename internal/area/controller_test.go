@@ -763,7 +763,7 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
-	restored, err := NewFromState(Config{
+	restored, err := newFromState(Config{
 		ID:        "backup",
 		AreaID:    "ignored-overridden",
 		Transport: tr,
@@ -772,7 +772,7 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 		RSPub:     r.rsKeys.Public(),
 	}, got)
 	if err != nil {
-		t.Fatalf("NewFromState: %v", err)
+		t.Fatalf("newFromState: %v", err)
 	}
 	restored.Start()
 	defer restored.Close()

@@ -88,7 +88,7 @@ func (g *replayKeyGen) next() crypt.SymKey {
 }
 
 // treeKeyGen is the KeyGen every controller tree uses: seeded while a
-// journaled rekey (live or replayed) is in progress, random otherwise.
+// rekey (live or replayed) is in progress, random otherwise.
 func (c *Controller) treeKeyGen() crypt.SymKey {
 	if c.detKG.armed {
 		return c.detKG.next()
@@ -96,8 +96,8 @@ func (c *Controller) treeKeyGen() crypt.SymKey {
 	return crypt.NewSymKey()
 }
 
-// treeConfig centralizes the keytree configuration so New and the two
-// restore paths (replica state, journal) build identically-behaving trees.
+// treeConfig centralizes the keytree configuration so New and the
+// journal restore path build identically-behaving trees.
 func (c *Controller) treeConfig() keytree.Config {
 	return keytree.Config{
 		Arity:     c.cfg.TreeArity,
@@ -111,13 +111,10 @@ func (c *Controller) treeConfig() keytree.Config {
 	}
 }
 
-// armRekeySeed draws and arms a fresh subseed for one rekey operation
-// when journaling is on. Runs on the loop; the caller must disarm after
-// the tree operation completes.
+// armRekeySeed draws and arms a fresh subseed for one rekey operation.
+// Runs on the loop; the caller must disarm after the tree operation
+// completes.
 func (c *Controller) armRekeySeed() (seed [rekeySeedLen]byte) {
-	if c.cfg.Journal == nil {
-		return
-	}
 	if _, err := io.ReadFull(rand.Reader, seed[:]); err != nil {
 		panic(fmt.Sprintf("area: reading randomness: %v", err))
 	}
@@ -130,9 +127,6 @@ func (c *Controller) armRekeySeed() (seed [rekeySeedLen]byte) {
 // serving (availability over durability), and the error marks the journal
 // suspect in the log.
 func (c *Controller) journalAppend(payload []byte) {
-	if c.cfg.Journal == nil {
-		return
-	}
 	if _, err := c.cfg.Journal.Append(payload); err != nil {
 		c.cfg.Logf("%s: JOURNAL APPEND FAILED (restart durability degraded): %v", c.cfg.ID, err)
 		return
@@ -146,9 +140,6 @@ func (c *Controller) journalAppend(payload []byte) {
 // journalSnapshot writes the full controller state as a journal snapshot,
 // letting older segments compact away.
 func (c *Controller) journalSnapshot() {
-	if c.cfg.Journal == nil {
-		return
-	}
 	blob, err := EncodeState(c.exportState())
 	if err != nil {
 		c.cfg.Logf("%s: encoding journal snapshot: %v", c.cfg.ID, err)
@@ -164,9 +155,6 @@ func (c *Controller) journalSnapshot() {
 // journalBatch records one membership rekey (the applyBatch and child-AC
 // adoption paths).
 func (c *Controller) journalBatch(seed [rekeySeedLen]byte, joins []pendingAdmission, leaves []string) {
-	if c.cfg.Journal == nil {
-		return
-	}
 	b := []byte{recBatch}
 	b = codec.AppendRaw(b, seed[:])
 	b = codec.AppendUvarint(b, uint64(len(joins)))
@@ -187,9 +175,6 @@ func (c *Controller) journalBatch(seed [rekeySeedLen]byte, joins []pendingAdmiss
 
 // journalFreshness records a no-membership area-key rotation.
 func (c *Controller) journalFreshness(seed [rekeySeedLen]byte) {
-	if c.cfg.Journal == nil {
-		return
-	}
 	b := []byte{recFreshness}
 	b = codec.AppendRaw(b, seed[:])
 	c.journalAppend(b)
@@ -200,7 +185,7 @@ func (c *Controller) journalFreshness(seed [rekeySeedLen]byte) {
 // and rebases), so a restart resumes with the freshest parent-area keys
 // it held.
 func (c *Controller) journalParentSet() {
-	if c.cfg.Journal == nil || c.parent == nil {
+	if c.parent == nil {
 		return
 	}
 	pse := ParentStateExport{
@@ -216,17 +201,11 @@ func (c *Controller) journalParentSet() {
 
 // journalParentClear records the loss of the parent link.
 func (c *Controller) journalParentClear() {
-	if c.cfg.Journal == nil {
-		return
-	}
 	c.journalAppend([]byte{recParentClear})
 }
 
 // journalTouch records an in-place member refresh (address and ticket).
 func (c *Controller) journalTouch(e *memberEntry) {
-	if c.cfg.Journal == nil {
-		return
-	}
 	b := []byte{recTouch}
 	b = codec.AppendString(b, e.id)
 	b = codec.AppendString(b, e.addr)
@@ -247,7 +226,7 @@ func NewFromJournal(cfg Config, rec *journal.Recovery) (*Controller, error) {
 		if derr != nil {
 			return nil, fmt.Errorf("area: journal snapshot: %w", derr)
 		}
-		c, err = NewFromState(cfg, st)
+		c, err = newFromState(cfg, st)
 	} else {
 		c, err = New(cfg)
 	}
@@ -262,7 +241,7 @@ func NewFromJournal(cfg Config, rec *journal.Recovery) (*Controller, error) {
 			}
 		}
 	}
-	// The on-disk state is already current; restart the snapshot cadence.
+	// The journal already holds this state; restart the snapshot cadence.
 	c.recsSinceSnap = 0
 	c.reconcileDirectory()
 	return c, nil
@@ -423,6 +402,5 @@ func (c *Controller) replayRecord(p []byte) error {
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
-	c.stateSeq++
 	return nil
 }

@@ -74,7 +74,7 @@ func TestJournalReplayDeterministic(t *testing.T) {
 		t.Fatalf("NewFromJournal: %v", err)
 	}
 	defer restored.Close()
-	post := restored.BootState()
+	post := restored.exportState()
 
 	// The backup-sync sequence number advances on a different cadence
 	// than journal records; everything else must match to the byte.
@@ -182,7 +182,7 @@ func TestCrashDuringSplitReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: NewFromJournal after %d records: %v", cut, len(rec2.Records), err)
 		}
-		st := restored.BootState()
+		st := restored.exportState()
 		st.Seq = 0
 		stBytes, err := EncodeState(st)
 		if err != nil {

@@ -4,7 +4,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 	"mykil/internal/simnet"
 )
 
-// This file is E15: the price of self-healing fault tolerance. Two
-// measurements against the paper's single passive backup (§IV-C):
+// This file is E15: the price of self-healing fault tolerance, measured
+// against the paper's single passive backup (§IV-C):
 //
 //   - Election latency. Kill the primary of a 3-replica set over many
 //     rounds and time the gap from the crash to the quorum winner's
@@ -24,11 +23,9 @@ import (
 //     round on top, so the figure shows what the split-brain protection
 //     costs.
 //
-//   - Replication bytes. The same membership scenario replicated twice:
-//     once by the legacy full-state snapshot push (one whole encoded
-//     State per change) and once by journal segment shipping (only the
-//     records past the replica's LSN). The controller counts the payload
-//     bytes it ships either way (mykil_replication_bytes_total).
+//   - Replication bytes. The journal-segment payload the primary ships
+//     to its replicas for a fixed membership scenario
+//     (mykil_replication_bytes_total).
 type ElectionConfig struct {
 	Rounds   int // crash/elect rounds for the latency distribution
 	Members  int // members joined before the kill
@@ -44,7 +41,6 @@ type ElectionResult struct {
 	HeartbeatEvery time.Duration
 	Latencies      []time.Duration // sorted, one per round
 	SegmentBytes   int64
-	SnapshotBytes  int64
 }
 
 func (c *ElectionConfig) fill() {
@@ -97,11 +93,7 @@ func ElectionFailover(cfg ElectionConfig) (*ElectionResult, error) {
 	}
 	res := &ElectionResult{Cfg: cfg, HeartbeatEvery: electionHeartbeat}
 
-	// Replication cost: the same churn scenario, snapshot vs segments.
-	if res.SnapshotBytes, err = replicationBytes(cfg, pool, false); err != nil {
-		return nil, fmt.Errorf("snapshot baseline: %w", err)
-	}
-	if res.SegmentBytes, err = replicationBytes(cfg, pool, true); err != nil {
+	if res.SegmentBytes, err = replicationBytes(cfg, pool); err != nil {
 		return nil, fmt.Errorf("segment run: %w", err)
 	}
 
@@ -155,15 +147,15 @@ func runChurn(g *core.Group, cfg ElectionConfig) error {
 }
 
 // waitReplicasSettled polls until every replica of area 0 reports the
-// same replication position twice, a few heartbeats apart — all churn
+// same applied journal LSN twice, a few heartbeats apart — all churn
 // absorbed, no pulls in flight.
-func waitReplicasSettled(g *core.Group, cfg ElectionConfig, journaled bool) error {
+func waitReplicasSettled(g *core.Group, cfg ElectionConfig) error {
 	deadline := time.Now().Add(30 * time.Second)
 	var prev uint64
 	stable := 0
 	for time.Now().Before(deadline) {
 		time.Sleep(5 * electionHeartbeat)
-		pos, ok := replicaPosition(g, cfg, journaled)
+		pos, ok := replicaPosition(g, cfg)
 		if ok && pos == prev && pos > 0 {
 			if stable++; stable >= 2 {
 				return nil
@@ -176,44 +168,24 @@ func waitReplicasSettled(g *core.Group, cfg ElectionConfig, journaled bool) erro
 	return fmt.Errorf("replicas did not settle within 30s")
 }
 
-// replicaPosition reports the common position of area 0's replicas, or
-// ok=false while they disagree. Journaled replicas advance an LSN;
-// legacy ones count absorbed snapshot members.
-func replicaPosition(g *core.Group, cfg ElectionConfig, journaled bool) (uint64, bool) {
-	var pos uint64
-	for r := 0; r < cfg.Replicas; r++ {
-		rep := g.Replica(0, r)
-		var p uint64
-		if journaled {
-			p = rep.AppliedLSN()
-		} else {
-			p = uint64(rep.StateMembers())
-		}
-		if r == 0 {
-			pos = p
-		} else if p != pos {
+// replicaPosition reports the applied LSN area 0's replicas share, or
+// ok=false while they disagree.
+func replicaPosition(g *core.Group, cfg ElectionConfig) (uint64, bool) {
+	pos := g.Replica(0, 0).AppliedLSN()
+	for r := 1; r < cfg.Replicas; r++ {
+		if g.Replica(0, r).AppliedLSN() != pos {
 			return 0, false
 		}
 	}
 	return pos, true
 }
 
-// replicationBytes runs the churn scenario under one replication mode
-// and reports the payload bytes the primary shipped to its replicas.
-func replicationBytes(cfg ElectionConfig, pool *crypt.KeyPool, journaled bool) (int64, error) {
-	opts := electionOptions(cfg, pool)
-	var dir string
-	if journaled {
-		var err error
-		if dir, err = os.MkdirTemp("", "mykil-election-bench-*"); err != nil {
-			return 0, err
-		}
-		defer func() { _ = os.RemoveAll(dir) }()
-		opts = append(opts, core.WithJournal(dir, "never"))
-	}
+// replicationBytes runs the churn scenario and reports the payload bytes
+// the primary shipped to its replicas.
+func replicationBytes(cfg ElectionConfig, pool *crypt.KeyPool) (int64, error) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	g, err := core.New(append(opts, core.WithNet(net))...)
+	g, err := core.New(append(electionOptions(cfg, pool), core.WithNet(net))...)
 	if err != nil {
 		return 0, err
 	}
@@ -221,24 +193,18 @@ func replicationBytes(cfg ElectionConfig, pool *crypt.KeyPool, journaled bool) (
 	if err := runChurn(g, cfg); err != nil {
 		return 0, err
 	}
-	if err := waitReplicasSettled(g, cfg, journaled); err != nil {
+	if err := waitReplicasSettled(g, cfg); err != nil {
 		return 0, err
 	}
 	return g.Controller(0).Stats().Value(obs.MetricReplBytes), nil
 }
 
-// electionRound stands up a journaled group, lets the replicas absorb
-// the churn, kills the primary, and times the quorum promotion.
+// electionRound stands up a group, lets the replicas absorb the churn,
+// kills the primary, and times the quorum promotion.
 func electionRound(cfg ElectionConfig, pool *crypt.KeyPool) (time.Duration, error) {
-	dir, err := os.MkdirTemp("", "mykil-election-bench-*")
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = os.RemoveAll(dir) }()
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	g, err := core.New(append(electionOptions(cfg, pool),
-		core.WithNet(net), core.WithJournal(dir, "never"))...)
+	g, err := core.New(append(electionOptions(cfg, pool), core.WithNet(net))...)
 	if err != nil {
 		return 0, err
 	}
@@ -246,7 +212,7 @@ func electionRound(cfg ElectionConfig, pool *crypt.KeyPool) (time.Duration, erro
 	if err := runChurn(g, cfg); err != nil {
 		return 0, err
 	}
-	if err := waitReplicasSettled(g, cfg, true); err != nil {
+	if err := waitReplicasSettled(g, cfg); err != nil {
 		return 0, err
 	}
 
@@ -266,15 +232,22 @@ func electionRound(cfg ElectionConfig, pool *crypt.KeyPool) (time.Duration, erro
 	}
 }
 
-// SegmentCheaper reports whether segment shipping moved fewer bytes
-// than snapshot replication for the same scenario.
-func (r *ElectionResult) SegmentCheaper() bool {
-	return r.SegmentBytes > 0 && r.SegmentBytes < r.SnapshotBytes
+// takeoverWindow is the silence a replica waits before campaigning:
+// replica.DefaultTakeoverFactor heartbeats.
+func (r *ElectionResult) takeoverWindow() time.Duration { return 5 * r.HeartbeatEvery }
+
+// ElectionCheap reports whether the median quorum election finished
+// within half a takeover window of the silence threshold: the
+// split-brain protection costs little over the paper's unilateral
+// promotion.
+func (r *ElectionResult) ElectionCheap() bool {
+	w := r.takeoverWindow()
+	return len(r.Latencies) == r.Cfg.Rounds && percentile(r.Latencies, 0.50) <= w+w/2
 }
 
 // Table renders E15.
 func (r *ElectionResult) Table() *Table {
-	takeover := 5 * r.HeartbeatEvery // replica.DefaultTakeoverFactor
+	takeover := r.takeoverWindow()
 	t := &Table{
 		Title: fmt.Sprintf("E15 quorum failover (%d replicas, %d members + %d churned, %v heartbeat)",
 			r.Cfg.Replicas, r.Cfg.Members, r.Cfg.Churn, r.HeartbeatEvery),
@@ -282,7 +255,7 @@ func (r *ElectionResult) Table() *Table {
 		Notes: []string{
 			fmt.Sprintf("takeover window %v = 5 heartbeats of silence before any candidacy", takeover),
 			"latency = wall time from primary crash to quorum promotion",
-			"bytes = replication payload shipped by the primary for the identical scenario",
+			"bytes = journal-segment payload the primary shipped to its replicas",
 		},
 	}
 	t.Rows = append(t.Rows,
@@ -290,11 +263,6 @@ func (r *ElectionResult) Table() *Table {
 		[]string{"election latency p95", percentile(r.Latencies, 0.95).Round(time.Millisecond).String()},
 		[]string{"election rounds", fmt.Sprint(len(r.Latencies))},
 		[]string{"segment replication bytes", fmt.Sprint(r.SegmentBytes)},
-		[]string{"full-snapshot replication bytes", fmt.Sprint(r.SnapshotBytes)},
 	)
-	if r.SegmentBytes > 0 {
-		t.Rows = append(t.Rows, []string{"snapshot/segment ratio",
-			fmt.Sprintf("%.1f×", float64(r.SnapshotBytes)/float64(r.SegmentBytes))})
-	}
 	return t
 }

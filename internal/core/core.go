@@ -1,6 +1,6 @@
 // Package core assembles complete Mykil deployments: a registration
-// server, a tree of area controllers (optionally each with a primary-
-// backup replica), and any number of members, all wired over the
+// server, a tree of area controllers (optionally each with a set of
+// journal-fed replicas), and any number of members, all wired over the
 // simulated network. It is the facade the examples, integration tests,
 // and benchmarks use; the underlying pieces live in internal/regserver,
 // internal/area, internal/member, and internal/replica.
@@ -33,8 +33,7 @@ const DefaultRSABits = 1024
 
 // Config describes a deployment. Build one with the functional-options
 // form core.New(core.WithAreas(2), ...) — the struct is the option
-// functions' target (WithConfig seeds it wholesale for tests that want
-// a literal).
+// functions' target.
 type Config struct {
 	// NumAreas is the number of areas (and controllers). Controllers
 	// form a tree: controller i's parent is controller (i-1)/AreaFanout.
@@ -54,14 +53,11 @@ type Config struct {
 	// join/rejoin and controllers deny joiners that cannot follow the
 	// area's suite.
 	CipherSuite string
-	// WithBackups gives every controller a §IV-C primary-backup replica.
-	// Equivalent to NumReplicas=1; kept for compatibility.
-	WithBackups bool
 	// NumReplicas gives every controller n replicas running quorum leader
-	// election over journal-segment replication (internal/replica). The
-	// first replica of each controller is the announcer whose key members
-	// learn at join; it relays the election winner's failover announcement.
-	// Zero with WithBackups set means 1.
+	// election over journal-segment replication (internal/replica); 1 is
+	// §IV-C's single passive backup. The first replica of each controller
+	// is the announcer whose key members learn at join; it relays the
+	// election winner's failover announcement.
 	NumReplicas int
 	// SplitAbove, when > 0, makes every controller shed the upper half of
 	// its sorted membership to a freshly spawned sibling once its live
@@ -103,15 +99,17 @@ type Config struct {
 	VerifyTimeout  time.Duration
 	HeartbeatEvery time.Duration
 	OpTimeout      time.Duration
-	// JournalDir, if non-empty, makes controllers and the registration
-	// server durable: each controller journals under
-	// <JournalDir>/<acID>, the registration server under
-	// <JournalDir>/rs. On New, any state those journals hold is
-	// recovered first, so building a group over an existing JournalDir
-	// is a restart, not a fresh deployment.
+	// JournalDir chooses disk over memory for the journals every
+	// controller and the registration server always keep: each
+	// controller journals under <JournalDir>/<acID>, the registration
+	// server under <JournalDir>/rs. On New, any state those journals
+	// hold is recovered first, so building a group over an existing
+	// JournalDir is a restart, not a fresh deployment. Empty keeps every
+	// journal in memory: replication is the same, but nothing survives
+	// the process. Replicas always keep their copy of the log in memory.
 	JournalDir string
 	// FsyncPolicy is the journal sync discipline: "always", "interval",
-	// or "never" ("" means always). Only meaningful with JournalDir.
+	// "never" or "group" ("" means always). Syncs cost nothing in memory.
 	FsyncPolicy string
 	// SegmentBytes overrides the journal segment rotation threshold;
 	// zero means the journal default.
@@ -141,14 +139,15 @@ type Group struct {
 	rsTransport transport.Transport
 	controllers []*area.Controller
 	ctrlInfo    []wire.ACInfo
-	backups     []*replica.Backup
+	replicas    []*replica.Replica
 	pool        crypt.KeySource
 	rsKeys      *crypt.KeyPair
 	kShared     crypt.SymKey
 	metrics     *obs.Registry
 	trace       *obs.Tracer
 
-	// Durability (only populated when cfg.JournalDir is set).
+	// Durability: one journal per controller (index-aligned with
+	// controllers) and the registration server's.
 	acCfgs     []area.Config
 	acJournals []*journal.Journal
 	rsJournal  *journal.Journal
@@ -206,13 +205,6 @@ func build(cfg Config) (*Group, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.NumReplicas == 0 && cfg.WithBackups {
-		cfg.NumReplicas = 1
-	}
-	if cfg.NumReplicas > 0 {
-		cfg.WithBackups = true
-	}
-
 	g := &Group{
 		Clock:   cfg.Clock,
 		cfg:     cfg,
@@ -306,29 +298,11 @@ func build(cfg Config) (*Group, error) {
 
 	// Controllers, root first so parents exist before children join.
 	for i := 0; i < cfg.NumAreas; i++ {
-		acCfg := area.Config{
-			ID:               ACID(i),
-			AreaID:           fmt.Sprintf("area-%d", i),
-			Transport:        acTrs[i],
-			Keys:             ctrlKeys[i],
-			Clock:            cfg.Clock,
-			KShared:          g.kShared,
-			RSPub:            g.rsKeys.Public(),
-			Directory:        g.ctrlInfo,
-			Batching:         cfg.Batching,
-			TreeArity:        cfg.TreeArity,
-			Suite:            cfg.CipherSuite,
-			Policy:           cfg.Policy,
-			SkipRejoinVerify: cfg.SkipRejoinVerify,
-			DataWorkers:      cfg.DataWorkers,
-			TIdle:            cfg.TIdle,
-			TActive:          cfg.TActive,
-			RekeyInterval:    cfg.RekeyInterval,
-			VerifyTimeout:    cfg.VerifyTimeout,
-			HeartbeatEvery:   cfg.HeartbeatEvery,
-			Observer:         cfg.Observer,
-			Logf:             cfg.Logf,
-		}
+		acCfg := g.areaConfig(i)
+		acCfg.ID = ACID(i)
+		acCfg.Transport = acTrs[i]
+		acCfg.Keys = ctrlKeys[i]
+		acCfg.Directory = g.ctrlInfo
 		if i > 0 {
 			parentIdx := (i - 1) / cfg.AreaFanout
 			acCfg.Parent = &area.PeerInfo{
@@ -344,39 +318,20 @@ func build(cfg Config) (*Group, error) {
 				}
 			}
 		}
-		if cfg.NumReplicas > 0 {
-			reps := make([]area.PeerInfo, cfg.NumReplicas)
-			for r := range reps {
-				reps[r] = area.PeerInfo{
-					ID:   ReplicaAddr(i, r),
-					Addr: repTrs[i][r].Addr(),
-					Pub:  repKeys[i][r].Public(),
-				}
-			}
-			acCfg.Replicas = reps
+		for r := 0; r < cfg.NumReplicas; r++ {
+			acCfg.Replicas = append(acCfg.Replicas, area.PeerInfo{
+				ID:   ReplicaAddr(i, r),
+				Addr: repTrs[i][r].Addr(),
+				Pub:  repKeys[i][r].Public(),
+			})
 		}
-		acCfg.SplitAbove = cfg.SplitAbove
-		acCfg.MergeBelow = cfg.MergeBelow
-		if cfg.SplitAbove > 0 {
-			idx := i
-			acCfg.OnSplit = func(ids []string) { g.autoSplit(idx, ids) }
+		j, rec, err := g.openJournal(ACID(i))
+		if err != nil {
+			return nil, err
 		}
-		if cfg.MergeBelow > 0 && i > 0 {
-			idx := i
-			acCfg.OnMerge = func() { g.autoMerge(idx) }
-		}
-		var ctrl *area.Controller
-		if cfg.JournalDir != "" {
-			j, rec, jerr := g.openJournal(ACID(i))
-			if jerr != nil {
-				return nil, jerr
-			}
-			acCfg.Journal = j
-			g.acJournals = append(g.acJournals, j)
-			ctrl, err = area.NewFromJournal(acCfg, rec)
-		} else {
-			ctrl, err = area.New(acCfg)
-		}
+		acCfg.Journal = j
+		g.acJournals = append(g.acJournals, j)
+		ctrl, err := area.NewFromJournal(acCfg, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -386,12 +341,8 @@ func build(cfg Config) (*Group, error) {
 
 	// Replicas watch their primaries and, with more than one per area,
 	// each other: on primary silence they hold a quorum leader election
-	// and the winner rebuilds the controller from replicated journal
-	// segments (or the last full-state sync).
-	for i := 0; i < cfg.NumAreas; i++ {
-		if cfg.NumReplicas == 0 {
-			break
-		}
+	// and the winner rebuilds the controller from its replicated journal.
+	for i := 0; i < cfg.NumAreas && cfg.NumReplicas > 0; i++ {
 		hb := cfg.HeartbeatEvery
 		if hb == 0 {
 			hb = cfg.TIdle
@@ -399,12 +350,12 @@ func build(cfg Config) (*Group, error) {
 		if hb == 0 {
 			hb = area.DefaultTIdle
 		}
-		// With journaling on, seed each replica with the primary's boot
-		// state: if the primary dies before a single hot sync, the
-		// election winner can still cold-restore from what disk held.
-		var cold *area.State
-		if cfg.JournalDir != "" {
-			cold = g.controllers[i].BootState()
+		// Seed each replica with the primary's journal as it stood at
+		// boot: if the primary dies before a single heartbeat, the
+		// election winner can still restore what the journal held.
+		cold, err := g.acJournals[i].ExportFrom(1)
+		if err != nil {
+			return nil, fmt.Errorf("core: exporting %s's boot journal: %w", ACID(i), err)
 		}
 		peers := make([]replica.Peer, cfg.NumReplicas)
 		for r := range peers {
@@ -415,18 +366,23 @@ func build(cfg Config) (*Group, error) {
 			}
 		}
 		for r := 0; r < cfg.NumReplicas; r++ {
+			// The promotion template: the primary's settings, replicating
+			// on to the surviving replicas of its area. It carries no
+			// split/merge callbacks — those address controllers by group
+			// index, which still names the crashed primary.
+			tmpl := g.areaConfig(i)
+			tmpl.Directory = g.ctrlInfo
+			tmpl.OnSplit, tmpl.OnMerge = nil, nil
 			others := make([]replica.Peer, 0, cfg.NumReplicas-1)
-			var survivors []area.PeerInfo
 			for o := range peers {
-				if o == r {
-					continue
+				if o != r {
+					others = append(others, peers[o])
+					tmpl.Replicas = append(tmpl.Replicas, area.PeerInfo{
+						ID: peers[o].ID, Addr: peers[o].Addr, Pub: peers[o].Pub,
+					})
 				}
-				others = append(others, peers[o])
-				survivors = append(survivors, area.PeerInfo{
-					ID: peers[o].ID, Addr: peers[o].Addr, Pub: peers[o].Pub,
-				})
 			}
-			b, err := replica.New(replica.Config{
+			rep, err := replica.New(replica.Config{
 				ID:         ReplicaAddr(i, r),
 				Transport:  repTrs[i][r],
 				Keys:       repKeys[i][r],
@@ -436,36 +392,18 @@ func build(cfg Config) (*Group, error) {
 				// Bootstrap cadence only: every SegmentPush carries the
 				// primary's authoritative HeartbeatEvery, which overrides
 				// this on adoption.
-				HeartbeatEvery: hb,
-				Peers:          others,
-				Announcer:      r == 0,
-				ColdState:      cold,
-				ControllerConfig: area.Config{
-					AreaID:  fmt.Sprintf("area-%d", i),
-					KShared: g.kShared,
-					RSPub:   g.rsKeys.Public(),
-					// A promoted winner keeps replicating to the
-					// surviving replicas of its area.
-					Replicas:         survivors,
-					Directory:        g.ctrlInfo,
-					Batching:         cfg.Batching,
-					TreeArity:        cfg.TreeArity,
-					Suite:            cfg.CipherSuite,
-					Policy:           cfg.Policy,
-					SkipRejoinVerify: cfg.SkipRejoinVerify,
-					DataWorkers:      cfg.DataWorkers,
-					TIdle:            cfg.TIdle,
-					TActive:          cfg.TActive,
-					RekeyInterval:    cfg.RekeyInterval,
-					VerifyTimeout:    cfg.VerifyTimeout,
-				},
-				Observer: cfg.Observer,
-				Logf:     cfg.Logf,
+				HeartbeatEvery:   hb,
+				Peers:            others,
+				Announcer:        r == 0,
+				ColdState:        cold,
+				ControllerConfig: tmpl,
+				Observer:         cfg.Observer,
+				Logf:             cfg.Logf,
 			})
 			if err != nil {
 				return nil, err
 			}
-			g.backups = append(g.backups, b)
+			g.replicas = append(g.replicas, rep)
 		}
 	}
 	rsCfg := regserver.Config{
@@ -477,15 +415,10 @@ func build(cfg Config) (*Group, error) {
 		Observer:    cfg.Observer,
 		Logf:        cfg.Logf,
 	}
-	if cfg.JournalDir != "" {
-		j, rec, jerr := g.openJournal("rs")
-		if jerr != nil {
-			return nil, jerr
-		}
-		g.rsJournal = j
-		rsCfg.Journal = j
-		rsCfg.Recovery = rec
+	if rsCfg.Journal, rsCfg.Recovery, err = g.openJournal("rs"); err != nil {
+		return nil, err
 	}
+	g.rsJournal = rsCfg.Journal
 	rs, err := regserver.New(rsCfg)
 	if err != nil {
 		return nil, err
@@ -496,22 +429,64 @@ func build(cfg Config) (*Group, error) {
 	for _, c := range g.controllers {
 		c.Start()
 	}
-	for _, b := range g.backups {
-		b.Start()
+	for _, rep := range g.replicas {
+		rep.Start()
 	}
 	rs.Start()
 	return g, nil
 }
 
-// openJournal opens (or recovers) the journal for one named component
-// under Config.JournalDir, recording anything it restored.
+// areaConfig turns the deployment settings into the area.Config of
+// controller i — primary, replica promotion template and split sibling
+// alike, so none of them can drift from the others. Callers add the
+// controller's identity, transport, keys, directory, tree position,
+// replicas and journal.
+func (g *Group) areaConfig(i int) area.Config {
+	c := g.cfg
+	ac := area.Config{
+		AreaID:           fmt.Sprintf("area-%d", i),
+		Clock:            c.Clock,
+		KShared:          g.kShared,
+		RSPub:            g.rsKeys.Public(),
+		Batching:         c.Batching,
+		TreeArity:        c.TreeArity,
+		Suite:            c.CipherSuite,
+		Policy:           c.Policy,
+		SkipRejoinVerify: c.SkipRejoinVerify,
+		DataWorkers:      c.DataWorkers,
+		TIdle:            c.TIdle,
+		TActive:          c.TActive,
+		RekeyInterval:    c.RekeyInterval,
+		VerifyTimeout:    c.VerifyTimeout,
+		HeartbeatEvery:   c.HeartbeatEvery,
+		SplitAbove:       c.SplitAbove,
+		MergeBelow:       c.MergeBelow,
+		Observer:         c.Observer,
+		Logf:             c.Logf,
+	}
+	if c.SplitAbove > 0 {
+		ac.OnSplit = func(ids []string) { g.autoSplit(i, ids) }
+	}
+	if c.MergeBelow > 0 && i > 0 {
+		ac.OnMerge = func() { g.autoMerge(i) }
+	}
+	return ac
+}
+
+// openJournal opens (or recovers) the journal for one named component:
+// under Config.JournalDir, or in memory when that is empty. It records
+// anything it restored.
 func (g *Group) openJournal(name string) (*journal.Journal, *journal.Recovery, error) {
 	fsync, err := journal.ParseFsyncPolicy(g.cfg.FsyncPolicy)
 	if err != nil {
 		return nil, nil, err
 	}
+	var dir string
+	if g.cfg.JournalDir != "" {
+		dir = filepath.Join(g.cfg.JournalDir, name)
+	}
 	j, rec, err := journal.Open(journal.Options{
-		Dir:          filepath.Join(g.cfg.JournalDir, name),
+		Dir:          dir,
 		Fsync:        fsync,
 		SegmentBytes: g.cfg.SegmentBytes,
 		Logf:         g.cfg.Logf,
@@ -590,10 +565,6 @@ func (g *Group) RecoverySummary() []string {
 // NumAreas returns the configured number of areas.
 func (g *Group) NumAreas() int { return len(g.controllers) }
 
-// Backup returns controller i's first replica (nil when replication is
-// disabled).
-func (g *Group) Backup(i int) *replica.Backup { return g.Replica(i, 0) }
-
 // Replica returns controller i's r-th replica, or nil when out of range.
 // Only the controllers present at New have replicas; siblings spawned by
 // an area split run unreplicated until restarted into a replicated
@@ -603,7 +574,7 @@ func (g *Group) Replica(i, r int) *replica.Replica {
 	if n == 0 || i < 0 || r < 0 || r >= n || i >= g.cfg.NumAreas {
 		return nil
 	}
-	return g.backups[i*n+r]
+	return g.replicas[i*n+r]
 }
 
 // ReplicasPerArea reports the configured replica count per controller.
@@ -662,62 +633,27 @@ func (g *Group) splitFrom(i int, migrate []string) (string, int, error) {
 	keys := g.pool.Next()
 	info := wire.ACInfo{ID: newID, Addr: tr.Addr(), PubDER: keys.Public().Marshal()}
 
-	acCfg := area.Config{
-		ID:        newID,
-		AreaID:    fmt.Sprintf("area-%d", newIdx),
-		Transport: tr,
-		Keys:      keys,
-		Clock:     g.cfg.Clock,
-		KShared:   g.kShared,
-		RSPub:     g.rsKeys.Public(),
-		// The sibling hangs under the source controller, so its area's
-		// data still routes through the tree it split from.
-		Parent: &area.PeerInfo{
-			ID:   srcCfg.ID,
-			Addr: srcCfg.Transport.Addr(),
-			Pub:  srcCfg.Keys.Public(),
-		},
-		Directory:        append(g.Directory(), info),
-		Batching:         g.cfg.Batching,
-		TreeArity:        g.cfg.TreeArity,
-		Suite:            g.cfg.CipherSuite,
-		Policy:           g.cfg.Policy,
-		SkipRejoinVerify: g.cfg.SkipRejoinVerify,
-		DataWorkers:      g.cfg.DataWorkers,
-		TIdle:            g.cfg.TIdle,
-		TActive:          g.cfg.TActive,
-		RekeyInterval:    g.cfg.RekeyInterval,
-		VerifyTimeout:    g.cfg.VerifyTimeout,
-		HeartbeatEvery:   g.cfg.HeartbeatEvery,
-		SplitAbove:       g.cfg.SplitAbove,
-		MergeBelow:       g.cfg.MergeBelow,
-		Observer:         g.cfg.Observer,
-		Logf:             g.cfg.Logf,
+	acCfg := g.areaConfig(newIdx)
+	acCfg.ID = newID
+	acCfg.Transport = tr
+	acCfg.Keys = keys
+	acCfg.Directory = append(g.Directory(), info)
+	// The sibling hangs under the source controller, so its area's data
+	// still routes through the tree it split from.
+	acCfg.Parent = &area.PeerInfo{
+		ID:   srcCfg.ID,
+		Addr: srcCfg.Transport.Addr(),
+		Pub:  srcCfg.Keys.Public(),
 	}
-	if g.cfg.SplitAbove > 0 {
-		acCfg.OnSplit = func(ids []string) { g.autoSplit(newIdx, ids) }
-	}
-	if g.cfg.MergeBelow > 0 {
-		acCfg.OnMerge = func() { g.autoMerge(newIdx) }
-	}
-	var ctrl *area.Controller
-	var j *journal.Journal
-	if g.cfg.JournalDir != "" {
-		var rec *journal.Recovery
-		j, rec, err = g.openJournal(newID)
-		if err != nil {
-			_ = tr.Close()
-			return "", 0, err
-		}
-		acCfg.Journal = j
-		ctrl, err = area.NewFromJournal(acCfg, rec)
-	} else {
-		ctrl, err = area.New(acCfg)
-	}
+	j, rec, err := g.openJournal(newID)
 	if err != nil {
-		if j != nil {
-			_ = j.Close()
-		}
+		_ = tr.Close()
+		return "", 0, err
+	}
+	acCfg.Journal = j
+	ctrl, err := area.NewFromJournal(acCfg, rec)
+	if err != nil {
+		_ = j.Close()
 		_ = tr.Close()
 		return "", 0, fmt.Errorf("core: split of %s: spawning %s: %w", ACID(i), newID, err)
 	}
@@ -725,9 +661,7 @@ func (g *Group) splitFrom(i int, migrate []string) (string, int, error) {
 	g.mu.Lock()
 	g.controllers = append(g.controllers, ctrl)
 	g.acCfgs = append(g.acCfgs, acCfg)
-	if j != nil {
-		g.acJournals = append(g.acJournals, j)
-	}
+	g.acJournals = append(g.acJournals, j)
 	g.transports = append(g.transports, tr)
 	g.ctrlInfo = append(g.ctrlInfo, info)
 	peers := make([]*area.Controller, 0, len(g.controllers)-1)
@@ -829,9 +763,7 @@ func (g *Group) MergeArea(i, into int) (int, error) {
 		c.RemoveDirectory(ACID(i))
 	}
 	dying.Close()
-	if g.cfg.JournalDir != "" {
-		_ = g.acJournals[i].Close()
-	}
+	_ = g.acJournals[i].Close()
 	g.trace.Event(obs.ProtoSplit, ACID(i), "merged",
 		obs.String("survivor", ACID(into)), obs.Int("migrated", int64(n)))
 	return n, nil
@@ -1052,8 +984,8 @@ func (g *Group) Close() {
 		m.Close()
 	}
 	g.RS.Close()
-	for _, b := range g.backups {
-		b.Close()
+	for _, rep := range g.replicas {
+		rep.Close()
 	}
 	for _, c := range g.controllers {
 		c.Close()
@@ -1062,9 +994,7 @@ func (g *Group) Close() {
 	for _, j := range g.acJournals {
 		_ = j.Close()
 	}
-	if g.rsJournal != nil {
-		_ = g.rsJournal.Close()
-	}
+	_ = g.rsJournal.Close()
 	for _, tr := range transports {
 		_ = tr.Close()
 	}

@@ -548,7 +548,7 @@ func TestAutoRejoinAfterPartition(t *testing.T) {
 }
 
 func TestControllerFailover(t *testing.T) {
-	g, err := New(append(fastTiming(1), WithBackups())...)
+	g, err := New(append(fastTiming(1), WithReplicas(1))...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -563,17 +563,22 @@ func TestControllerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddMember: %v", err)
 	}
-	waitFor(t, "replica to absorb both members", 5*time.Second, func() bool {
-		return g.Backup(0).StateMembers() == 2
+	// Unbatched, each join is one journal record: LSNs 1 and 2.
+	waitFor(t, "replica to absorb both joins", 5*time.Second, func() bool {
+		return g.Replica(0, 0).AppliedLSN() >= 3
 	})
 
 	// Crash the primary; the backup must take over and members must
 	// keep exchanging data through it.
 	g.Net.Crash(ACAddr(0))
+	var promoted *area.Controller
 	waitFor(t, "backup promotion", 10*time.Second, func() bool {
-		_, err := g.Backup(0).Promoted()
+		promoted, err = g.Replica(0, 0).Promoted()
 		return err == nil
 	})
+	if !promoted.HasMember("ma") || !promoted.HasMember("mb") {
+		t.Fatal("promoted controller lost a replicated member")
+	}
 	waitFor(t, "members to switch to the backup", 10*time.Second, func() bool {
 		return ma.ControllerID() != ACID(0) && mb.ControllerID() != ACID(0)
 	})

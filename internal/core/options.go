@@ -17,7 +17,7 @@ type Option func(*Config)
 
 // New builds and starts a deployment from functional options:
 //
-//	g, err := core.New(core.WithAreas(8), core.WithBackups(), core.WithObserver(sink))
+//	g, err := core.New(core.WithAreas(8), core.WithReplicas(1), core.WithObserver(sink))
 //
 // With no options it builds the single-area default deployment.
 func New(opts ...Option) (*Group, error) {
@@ -28,14 +28,6 @@ func New(opts ...Option) (*Group, error) {
 		}
 	}
 	return build(cfg)
-}
-
-// WithConfig seeds the whole Config struct at once, for callers mid-way
-// through migrating to per-field options. Later options still override.
-//
-// Deprecated: use per-field options.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) { *c = cfg }
 }
 
 // WithAreas sets the number of areas (and controllers).
@@ -58,15 +50,12 @@ func WithTreeArity(n int) Option { return func(c *Config) { c.TreeArity = n } }
 // "aes-gcm", or "chacha20-poly1305".
 func WithCipherSuite(name string) Option { return func(c *Config) { c.CipherSuite = name } }
 
-// WithBackups gives every controller a §IV-C primary-backup replica.
-// Equivalent to WithReplicas(1).
-func WithBackups() Option { return func(c *Config) { c.WithBackups = true } }
-
 // WithReplicas gives every controller n replicas running quorum leader
 // election over journal-segment replication: on primary failure the
 // replicas elect the best-caught-up candidate, which rebuilds the
 // controller from replicated journal segments and announces the failover
 // through the first replica (whose key members learned at join).
+// WithReplicas(1) is §IV-C's single passive backup.
 func WithReplicas(n int) Option { return func(c *Config) { c.NumReplicas = n } }
 
 // WithAreaWatermarks turns on dynamic area split and merge: a controller

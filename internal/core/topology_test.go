@@ -8,9 +8,12 @@ import (
 	"time"
 
 	"mykil/internal/area"
+	"mykil/internal/clock"
 	"mykil/internal/crypt"
 	"mykil/internal/member"
 	"mykil/internal/obs"
+	"mykil/internal/replica"
+	"mykil/internal/wire"
 )
 
 // promotedReplicas lists the replicas of area i that promoted a
@@ -50,15 +53,14 @@ func TestQuorumElectionAfterLeaderKill(t *testing.T) {
 		t.Fatalf("AddMember: %v", err)
 	}
 
-	// Every replica must hold the full journal prefix before the kill,
-	// or the test races the segment pulls.
+	// Every replica must hold the primary's whole journal before the
+	// kill, or the test races the segment pulls: replicas agreeing on a
+	// shorter prefix (the first join only) would elect a winner that
+	// never heard of mb.
 	waitFor(t, "replicas to absorb the journal", 10*time.Second, func() bool {
-		lsn := g.Replica(0, 0).AppliedLSN()
-		if lsn == 0 {
-			return false
-		}
-		for r := 1; r < 3; r++ {
-			if g.Replica(0, r).AppliedLSN() != lsn {
+		want := g.acJournals[0].NextLSN()
+		for r := 0; r < 3; r++ {
+			if g.Replica(0, r).AppliedLSN() != want {
 				return false
 			}
 		}
@@ -100,6 +102,116 @@ func TestQuorumElectionAfterLeaderKill(t *testing.T) {
 	}
 	if elections != 1 {
 		t.Errorf("replica set counted %d elections won, want 1", elections)
+	}
+}
+
+// TestPromotedControllerKeepsHeartbeatCadence: on a fake clock with
+// HeartbeatEvery far below TIdle, the election winner must heartbeat the
+// surviving replicas at HeartbeatEvery (at TIdle their takeover window
+// runs out and they elect a second leader) and keep journaling, so the
+// survivors follow its LSNs after a post-promotion join.
+func TestPromotedControllerKeepsHeartbeatCadence(t *testing.T) {
+	fake := clock.NewFake(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	const hb = 10 * time.Millisecond
+	g, err := New(WithAreas(1), WithRSABits(512), WithClock(fake), WithReplicas(3),
+		WithHeartbeatEvery(hb), WithTIdle(time.Hour), WithTActive(2*time.Hour),
+		WithRekeyInterval(time.Hour), WithVerifyTimeout(time.Minute), WithOpTimeout(time.Minute))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer g.Close()
+
+	// step advances one heartbeat and gives every loop real time to run.
+	step := func() {
+		fake.Advance(hb)
+		time.Sleep(10 * time.Millisecond)
+	}
+	advanceUntil := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			step()
+		}
+	}
+	join := func(id string) {
+		t.Helper()
+		errc := make(chan error, 1)
+		go func() {
+			_, err := g.AddMember(id, MemberConfig{})
+			errc <- err
+		}()
+		var err error
+		advanceUntil(id+" to join", func() bool {
+			select {
+			case err = <-errc:
+				return true
+			default:
+				return false
+			}
+		})
+		if err != nil {
+			t.Fatalf("join %s: %v", id, err)
+		}
+	}
+	applied := func(r int) uint64 { return g.Replica(0, r).AppliedLSN() }
+	// following reports whether every replica holds the journal that
+	// ends before LSN next.
+	following := func(next func() uint64) bool {
+		for r := 0; r < 3; r++ {
+			if applied(r) != next() {
+				return false
+			}
+		}
+		return true
+	}
+	elections := func() int64 {
+		var n int64
+		for r := 0; r < 3; r++ {
+			n += g.Replica(0, r).Stats().Value(obs.MetricElections)
+		}
+		return n
+	}
+
+	join("m0")
+	advanceUntil("replicas to absorb the join", func() bool { return following(g.acJournals[0].NextLSN) })
+	before := applied(0)
+
+	g.Net.Crash(ACAddr(0))
+	advanceUntil("an election winner", func() bool { return len(promotedReplicas(g, 0)) > 0 })
+	for i := 0; i < 10*replica.DefaultTakeoverFactor; i++ {
+		step()
+	}
+	if n := elections(); n != 1 {
+		t.Fatalf("%d elections won within 10 takeover windows of the crash, want exactly 1", n)
+	}
+	win := -1
+	for r := 0; r < 3; r++ {
+		if _, err := g.Replica(0, r).Promoted(); err == nil {
+			win = r
+		}
+	}
+
+	// Route joins to the winner, as an operator repairing the directory
+	// would, and join once more: the record must reach every survivor.
+	leader := g.acCfgs[0].Replicas[win]
+	if err := g.RS.RemoveController(ACID(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RS.AddController(wire.ACInfo{ID: leader.ID, Addr: leader.Addr, PubDER: leader.Pub.Marshal()}); err != nil {
+		t.Fatal(err)
+	}
+	join("m1")
+	if applied(win) <= before {
+		t.Fatalf("winner's journal at LSN %d after a join, not past %d", applied(win), before)
+	}
+	advanceUntil("survivors to follow the winner's journal", func() bool {
+		return following(func() uint64 { return applied(win) })
+	})
+	if n := elections(); n != 1 {
+		t.Fatalf("%d elections won, want exactly 1", n)
 	}
 }
 

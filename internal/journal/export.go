@@ -1,9 +1,6 @@
 package journal
 
-import (
-	"fmt"
-	"path/filepath"
-)
+import "fmt"
 
 // Export is a read-out of the log tail from a requested LSN: the segment
 // replication unit a primary ships to a lagging replica. When the
@@ -37,7 +34,7 @@ func (j *Journal) ExportFrom(fromLSN uint64) (*Export, error) {
 		return nil, ErrClosed
 	}
 	// The segment walk below reads the live files and expects every
-	// assigned LSN to be on disk; under FsyncGroup, records may still sit
+	// assigned LSN to be stored; under FsyncGroup, records may still sit
 	// in the pending pile, so wait out any round in flight and flush.
 	j.awaitGroupIdleLocked()
 	if err := j.flushPendingLocked(); err != nil {
@@ -63,7 +60,7 @@ func (j *Journal) ExportFrom(fromLSN uint64) (*Export, error) {
 			return nil, fmt.Errorf("journal: export from %d: records compacted and no snapshot", fromLSN)
 		}
 		snapLSN := j.snaps[len(j.snaps)-1]
-		state, err := readSnapshotFile(filepath.Join(j.opts.Dir, snapName(snapLSN)))
+		state, err := j.readSnapshot(snapLSN)
 		if err != nil {
 			return nil, fmt.Errorf("journal: export baseline: %w", err)
 		}
@@ -73,7 +70,7 @@ func (j *Journal) ExportFrom(fromLSN uint64) (*Export, error) {
 		ex.FromLSN = start
 	}
 	// Walk the retained segments and collect payloads at LSN >= start.
-	// Appends hold the same lock and write whole frames, so the on-disk
+	// Appends hold the same lock and write whole frames, so the stored
 	// bytes of every retained segment are complete.
 	for i, first := range j.segStats {
 		var segEnd uint64 // one past the segment's last LSN
@@ -85,7 +82,7 @@ func (j *Journal) ExportFrom(fromLSN uint64) (*Export, error) {
 		if segEnd <= start {
 			continue
 		}
-		payloads, _, err := j.readSegment(filepath.Join(j.opts.Dir, segName(first)), false)
+		payloads, _, err := j.readSegment(first, false)
 		if err != nil {
 			return nil, fmt.Errorf("journal: export segment %s: %w", segName(first), err)
 		}

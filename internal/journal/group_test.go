@@ -202,8 +202,11 @@ func TestGroupPolicyParses(t *testing.T) {
 // many appenders race: rotation must wait out in-flight rounds (never
 // yanking the segment from under a leader's fsync) and lose nothing.
 func TestGroupRotationUnderConcurrency(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openT(t, Options{Dir: dir, Fsync: FsyncGroup, SegmentBytes: 512})
+	forEachStore(t, testGroupRotationUnderConcurrency)
+}
+
+func testGroupRotationUnderConcurrency(t *testing.T, st store) {
+	j, _ := openOn(t, st, Options{Fsync: FsyncGroup, SegmentBytes: 512})
 
 	const (
 		writers = 6
@@ -227,15 +230,11 @@ func TestGroupRotationUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err := Open(Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	_, rec := openOn(t, st, Options{})
 	if got, want := len(rec.Records), writers*each; got != want {
 		t.Fatalf("recovered %d records across rotations, want %d", got, want)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	if len(segs) < 2 {
-		t.Fatalf("test never rotated (segments: %v); shrink SegmentBytes", segs)
+	if n := segmentCount(t, st); n < 2 {
+		t.Fatalf("test never rotated (%d segments); shrink SegmentBytes", n)
 	}
 }

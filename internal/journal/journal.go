@@ -1,10 +1,12 @@
 // Package journal is Mykil's durability layer: a segmented, CRC32C-framed,
 // append-only write-ahead log plus point-in-time snapshots, stored in one
-// directory per node. An area controller (or the registration server)
-// appends one record per state mutation and periodically writes a full
-// state snapshot; after a crash, Open finds the newest valid snapshot,
-// replays the record tail behind it, and truncates any torn final record
-// instead of failing. Restart thereby becomes a local replay rather than a
+// directory per node — or, with no directory given, in memory, where it
+// still numbers, snapshots, compacts and exports records the same way
+// but nothing survives the process. An area controller (or the
+// registration server) appends one record per state mutation and
+// periodically writes a full state snapshot; after a crash, Open finds
+// the newest valid snapshot, replays the record tail behind it, and
+// truncates any torn final record instead of failing. Restart thereby becomes a local replay rather than a
 // network-wide rejoin storm (the §IV failure model's worst case at scale).
 //
 // The journal stores opaque byte payloads; callers define record and
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -88,21 +89,24 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // Defaults for zero-valued Options fields.
 const (
-	DefaultSegmentBytes = 4 << 20
-	DefaultFsyncEvery   = 100 * time.Millisecond
-	DefaultKeepSnaps    = 2
+	DefaultSegmentBytes    = 4 << 20
+	DefaultMemSegmentBytes = 64 << 10 // for a journal kept in memory
+	DefaultFsyncEvery      = 100 * time.Millisecond
+	DefaultKeepSnaps       = 2
 )
 
 // Options parameterizes Open.
 type Options struct {
-	// Dir is the journal directory, created if absent. Required.
+	// Dir is the journal directory, created if absent. Empty keeps the
+	// journal in memory: replication and export work as on disk, syncs
+	// cost nothing, and nothing survives the process.
 	Dir string
 	// Fsync selects the sync policy; the zero value is FsyncAlways.
 	Fsync FsyncPolicy
 	// FsyncEvery spaces syncs under FsyncInterval; 0 means 100ms.
 	FsyncEvery time.Duration
 	// SegmentBytes rotates the active segment once it reaches this size;
-	// 0 means 4 MiB.
+	// 0 means 4 MiB on disk, 64 KiB in memory.
 	SegmentBytes int64
 	// KeepSnapshots retains this many snapshots after compaction (older
 	// segments are deleted once covered by the oldest kept snapshot);
@@ -126,10 +130,7 @@ type Options struct {
 	Clock clock.Clock
 }
 
-func (o *Options) fillDefaults() error {
-	if o.Dir == "" {
-		return errors.New("journal: Dir is required")
-	}
+func (o *Options) fillDefaults() {
 	if o.FsyncEvery <= 0 {
 		o.FsyncEvery = DefaultFsyncEvery
 	}
@@ -145,10 +146,9 @@ func (o *Options) fillDefaults() error {
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
 	}
-	return nil
 }
 
-// Recovery reports what Open found on disk: the newest valid snapshot (if
+// Recovery reports what Open found in the store: the newest valid snapshot (if
 // any) and the record tail to replay on top of it.
 type Recovery struct {
 	// Snapshot is the newest valid snapshot payload, nil when none exists.
@@ -173,15 +173,15 @@ func (r *Recovery) Empty() bool {
 // coalesce their fsyncs (see FsyncGroup).
 type Journal struct {
 	opts Options
+	st   store
 
 	mu       sync.Mutex
-	seg      *os.File // active segment
-	segStart uint64   // first LSN of the active segment
+	seg      segment // active segment
 	segSize  int64
 	nextLSN  uint64
 	lastSync time.Time
-	snaps    []uint64 // through-LSNs of on-disk snapshots, ascending
-	segStats []uint64 // first LSNs of on-disk segments, ascending (incl. active)
+	snaps    []uint64 // through-LSNs of stored snapshots, ascending
+	segStats []uint64 // first LSNs of stored segments, ascending (incl. active)
 	closed   bool
 
 	// Group commit (FsyncGroup). The leader drops mu for the physical
@@ -216,19 +216,47 @@ type gcRound struct {
 	err  error // read only after done is closed
 }
 
-// Open creates or recovers the journal in opts.Dir. The returned Recovery
-// describes on-disk state for the caller to rebuild from; appending
-// continues at the next LSN in a fresh segment (a previously torn tail is
-// physically truncated first, so segments never interleave live and dead
-// bytes).
+// Open creates or recovers the journal in opts.Dir, or creates an empty
+// one in memory when opts.Dir is empty. The returned Recovery describes
+// stored state for the caller to rebuild from; appending continues at the
+// next LSN in a fresh segment (a previously torn tail is physically
+// truncated first, so segments never interleave live and dead bytes).
 func Open(opts Options) (*Journal, *Recovery, error) {
-	if err := opts.fillDefaults(); err != nil {
-		return nil, nil, err
+	if opts.Dir == "" {
+		return OrMemory(nil, opts), &Recovery{}, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: creating dir: %w", err)
 	}
-	j := &Journal{opts: opts, nextLSN: 1}
+	return open(opts, dirStore(opts.Dir))
+}
+
+// OrMemory returns j, or a fresh journal kept in memory when j is nil:
+// how a component handed no journal still journals. opts.Dir is ignored.
+func OrMemory(j *Journal, opts Options) *Journal {
+	if j != nil {
+		return j
+	}
+	opts.Dir = ""
+	if opts.SegmentBytes <= 0 {
+		// A memory segment is a slice, so rotating costs nothing; small
+		// ones let compaction hand memory back and keep each export's
+		// read short.
+		opts.SegmentBytes = DefaultMemSegmentBytes
+	}
+	m, _, err := open(opts, newMemStore())
+	if err != nil {
+		// An empty memory store has nothing to recover and no file
+		// that can fail to open.
+		panic(fmt.Sprintf("journal: opening a memory journal: %v", err))
+	}
+	return m
+}
+
+// open creates or recovers a journal over st.
+func open(opts Options, st store) (*Journal, *Recovery, error) {
+	opts.fillDefaults()
+	j := &Journal{opts: opts, st: st, nextLSN: 1}
 	j.gcCond = sync.NewCond(&j.mu)
 	rec, err := j.recover()
 	if err != nil {
@@ -240,7 +268,7 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 	return j, rec, nil
 }
 
-// Dir returns the journal directory.
+// Dir returns the journal directory, "" for a journal kept in memory.
 func (j *Journal) Dir() string { return j.opts.Dir }
 
 // NextLSN returns the LSN the next Append will receive.
@@ -275,6 +303,32 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	if j.closed {
 		return 0, ErrClosed
 	}
+	lsn, err := j.writeLocked(payload)
+	if err != nil {
+		return 0, err
+	}
+	ride, err := j.maybeSyncLocked(lsn)
+	if err != nil {
+		return 0, err
+	}
+	if ride != nil {
+		// A group-commit round is gathering and will cover this record;
+		// block on its done channel with the lock released, so a record
+		// costs one lock hold however deep the pile is.
+		j.mu.Unlock()
+		<-ride.done
+		j.mu.Lock()
+		if ride.err != nil {
+			return 0, ride.err
+		}
+	}
+	return lsn, nil
+}
+
+// writeLocked frames one record into the active segment — under
+// FsyncGroup into the pending pile — rotating first when the segment is
+// full, and assigns its LSN. Syncing is the caller's business.
+func (j *Journal) writeLocked(payload []byte) (uint64, error) {
 	if j.segSize >= j.opts.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			return 0, err
@@ -293,22 +347,79 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	lsn := j.nextLSN
 	j.nextLSN++
 	j.appends++
-	ride, err := j.maybeSyncLocked(lsn)
-	if err != nil {
-		return 0, err
+	return lsn, nil
+}
+
+// ErrGap reports an export that starts past the journal's next LSN:
+// records in between are missing, and the export must be re-requested
+// from NextLSN.
+var ErrGap = errors.New("journal: export starts past the next LSN")
+
+// Absorb appends another journal's export — the segment stream a replica
+// receives from its primary — so this journal holds the same records
+// under the same LSNs and can itself serve them onward after a takeover.
+// A baseline snapshot covering at least everything held replaces the
+// whole log; records already held are skipped. It reports whether the
+// log advanced, and ErrGap when the export leaves a hole. A baseline
+// reset is not crash-atomic on disk: a crash inside one leaves a
+// directory that recovery refuses rather than a mixed log.
+func (j *Journal) Absorb(ex *Export) (bool, error) {
+	if ex.FromLSN+uint64(len(ex.Records)) != ex.NextLSN || (ex.FromLSN == 0 && len(ex.Records) > 0) {
+		return false, fmt.Errorf("%w: export [%d,%d) carries %d records", ErrCorrupt, ex.FromLSN, ex.NextLSN, len(ex.Records))
 	}
-	if ride != nil {
-		// A group-commit round is gathering and will cover this record;
-		// block on its done channel with the lock released, so a record
-		// costs one lock hold however deep the pile is.
-		j.mu.Unlock()
-		<-ride.done
-		j.mu.Lock()
-		if ride.err != nil {
-			return 0, ride.err
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return false, ErrClosed
+	}
+	advanced := false
+	if ex.Snapshot != nil && ex.SnapshotLSN >= j.nextLSN {
+		if err := j.resetLocked(ex.SnapshotLSN, ex.Snapshot); err != nil {
+			return false, err
+		}
+		advanced = true
+	}
+	if ex.FromLSN > j.nextLSN {
+		return advanced, ErrGap
+	}
+	if ex.NextLSN <= j.nextLSN {
+		return advanced, nil
+	}
+	for _, p := range ex.Records[j.nextLSN-ex.FromLSN:] {
+		if _, err := j.writeLocked(p); err != nil {
+			return true, err
 		}
 	}
-	return lsn, nil
+	return true, j.syncLocked()
+}
+
+// resetLocked replaces the whole log with one snapshot covering through
+// lsn; appends resume at lsn+1.
+func (j *Journal) resetLocked(lsn uint64, state []byte) error {
+	j.awaitGroupIdleLocked()
+	if err := j.flushPendingLocked(); err != nil {
+		return err
+	}
+	if err := j.writeSnapshotLocked(lsn, state); err != nil {
+		return err
+	}
+	if err := j.seg.Close(); err != nil {
+		return err
+	}
+	j.seg = nil
+	for _, old := range j.snaps {
+		j.removeFile(snapName(old))
+	}
+	for _, first := range j.segStats {
+		j.removeFile(segName(first))
+	}
+	j.snaps = []uint64{lsn}
+	j.segStats = nil
+	j.nextLSN = lsn + 1
+	if j.gcSyncedLSN < lsn {
+		j.gcSyncedLSN = lsn
+	}
+	return j.openSegment()
 }
 
 // maybeSyncLocked applies the fsync policy after appending record lsn.
@@ -452,7 +563,6 @@ func (j *Journal) flushPendingLocked() error {
 		return nil
 	}
 	_, err := j.seg.Write(j.gcPending)
-	//lint:ignore guardedby every caller holds j.mu per the Locked-suffix contract; the per-function lock walk cannot see a caller's hold
 	j.gcPending = j.gcPending[:0]
 	if err != nil {
 		return fmt.Errorf("journal: flushing group-commit buffer: %w", err)
@@ -495,9 +605,8 @@ func (j *Journal) Sync() error {
 
 // Snapshot writes a snapshot covering every record appended so far, then
 // compacts: snapshots beyond KeepSnapshots and segments fully covered by
-// the oldest kept snapshot are deleted. The snapshot is written to a
-// temporary file, synced, and renamed, so a crash mid-write never corrupts
-// an existing snapshot.
+// the oldest kept snapshot are deleted. The snapshot is stored in one
+// atomic step, so a crash mid-write never corrupts an existing snapshot.
 func (j *Journal) Snapshot(state []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -509,38 +618,24 @@ func (j *Journal) Snapshot(state []byte) error {
 		return err
 	}
 	through := j.nextLSN - 1
-	name := snapName(through)
-	tmp := filepath.Join(j.opts.Dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	buf := AppendRecord(snapMagic(), state)
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		os.Remove(tmp)
-		return fmt.Errorf("journal: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the one worth reporting
-		os.Remove(tmp)
-		return fmt.Errorf("journal: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := j.writeSnapshotLocked(through, state); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(j.opts.Dir, name)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: snapshot rename: %w", err)
-	}
-	j.syncDir()
-	j.snapshots++
 	// Replace any snapshot at the same LSN (no new records since last
 	// snapshot), then compact.
 	j.snaps = append(removeLSN(j.snaps, through), through)
 	sort.Slice(j.snaps, func(a, b int) bool { return j.snaps[a] < j.snaps[b] })
 	j.compactLocked()
+	return nil
+}
+
+// writeSnapshotLocked stores one snapshot frame covering through lsn.
+func (j *Journal) writeSnapshotLocked(through uint64, state []byte) error {
+	if err := j.st.writeAtomic(snapName(through), AppendRecord(snapMagic(), state)); err != nil {
+		return fmt.Errorf("journal: snapshot: %w", err)
+	}
+	j.syncDir()
+	j.snapshots++
 	return nil
 }
 
@@ -550,9 +645,7 @@ func (j *Journal) compactLocked() {
 	for len(j.snaps) > j.opts.KeepSnapshots {
 		old := j.snaps[0]
 		j.snaps = j.snaps[1:]
-		if err := os.Remove(filepath.Join(j.opts.Dir, snapName(old))); err != nil {
-			j.opts.Logf("journal: removing snapshot %d: %v", old, err)
-		}
+		j.removeFile(snapName(old))
 	}
 	if len(j.snaps) == 0 {
 		return
@@ -562,9 +655,15 @@ func (j *Journal) compactLocked() {
 	for len(j.segStats) > 1 && j.segStats[1] <= cover+1 {
 		first := j.segStats[0]
 		j.segStats = j.segStats[1:]
-		if err := os.Remove(filepath.Join(j.opts.Dir, segName(first))); err != nil {
-			j.opts.Logf("journal: removing segment %d: %v", first, err)
-		}
+		j.removeFile(segName(first))
+	}
+}
+
+// removeFile deletes one journal file. Failures are logged, not fatal:
+// a leftover file is covered by a newer snapshot or segment.
+func (j *Journal) removeFile(name string) {
+	if err := j.st.remove(name); err != nil {
+		j.opts.Logf("journal: removing %s: %v", name, err)
 	}
 }
 
@@ -584,8 +683,7 @@ func (j *Journal) rotateLocked() error {
 // openSegment starts a fresh segment at nextLSN. Called at Open and on
 // rotation; the previous segment, if any, is already closed.
 func (j *Journal) openSegment() error {
-	path := filepath.Join(j.opts.Dir, segName(j.nextLSN))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := j.st.create(segName(j.nextLSN))
 	if err != nil {
 		return fmt.Errorf("journal: creating segment: %w", err)
 	}
@@ -594,25 +692,19 @@ func (j *Journal) openSegment() error {
 		return fmt.Errorf("journal: segment header: %w", err)
 	}
 	j.seg = f
-	j.segStart = j.nextLSN
 	j.segSize = int64(len(segMagic()))
 	j.segStats = append(j.segStats, j.nextLSN)
 	j.syncDir()
 	return nil
 }
 
-// syncDir fsyncs the journal directory so renames and creations are
+// syncDir makes segment creations, snapshot renames and removals
 // durable. Failures are logged, not fatal: data-file syncs already
 // happened.
 func (j *Journal) syncDir() {
-	d, err := os.Open(j.opts.Dir)
-	if err != nil {
-		return
-	}
-	if err := d.Sync(); err != nil {
+	if err := j.st.syncDir(); err != nil {
 		j.opts.Logf("journal: dir sync: %v", err)
 	}
-	_ = d.Close() // read-only directory handle; nothing to lose
 }
 
 // Close syncs and closes the journal.

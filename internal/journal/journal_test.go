@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,11 +23,49 @@ func openT(t *testing.T, opts Options) (*Journal, *Recovery) {
 	return j, rec
 }
 
+// openOn opens a journal over st, failing the test on error. Opening
+// the same store again recovers it, as a restart would.
+func openOn(t *testing.T, st store, opts Options) (*Journal, *Recovery) {
+	t.Helper()
+	if opts.Logf == nil {
+		opts.Logf = t.Logf
+	}
+	j, rec, err := open(opts, st)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return j, rec
+}
+
+// forEachStore runs body once per storage backend, each time over a
+// fresh, empty store: on disk and in memory.
+func forEachStore(t *testing.T, body func(t *testing.T, st store)) {
+	t.Run("disk", func(t *testing.T) { body(t, dirStore(t.TempDir())) })
+	t.Run("memory", func(t *testing.T) { body(t, newMemStore()) })
+}
+
+// segmentCount reports how many segment files st holds.
+func segmentCount(t *testing.T, st store) int {
+	t.Helper()
+	names, err := st.list()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, name := range names {
+		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal") {
+			n++
+		}
+	}
+	return n
+}
+
 func payloadN(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
 
-func TestAppendAndRecover(t *testing.T) {
-	dir := t.TempDir()
-	j, rec := openT(t, Options{Dir: dir})
+func TestAppendAndRecover(t *testing.T) { forEachStore(t, testAppendAndRecover) }
+
+func testAppendAndRecover(t *testing.T, st store) {
+	j, rec := openOn(t, st, Options{})
 	if !rec.Empty() {
 		t.Fatalf("fresh journal reported recovery state: %+v", rec)
 	}
@@ -44,7 +83,7 @@ func TestAppendAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, rec2 := openT(t, Options{Dir: dir})
+	j2, rec2 := openOn(t, st, Options{})
 	defer j2.Close()
 	if rec2.Snapshot != nil {
 		t.Fatal("unexpected snapshot")
@@ -62,10 +101,11 @@ func TestAppendAndRecover(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndCompaction(t *testing.T) {
-	dir := t.TempDir()
+func TestSnapshotAndCompaction(t *testing.T) { forEachStore(t, testSnapshotAndCompaction) }
+
+func testSnapshotAndCompaction(t *testing.T, st store) {
 	// Tiny segments force rotation so compaction has something to delete.
-	j, _ := openT(t, Options{Dir: dir, SegmentBytes: 64, KeepSnapshots: 1})
+	j, _ := openOn(t, st, Options{SegmentBytes: 64, KeepSnapshots: 1})
 	for i := 0; i < 10; i++ {
 		if _, err := j.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
@@ -84,12 +124,11 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	}
 
 	// Compaction must have removed segments fully covered by the snapshot.
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	if len(segs) >= 10 {
-		t.Fatalf("compaction left %d segments", len(segs))
+	if n := segmentCount(t, st); n >= 10 {
+		t.Fatalf("compaction left %d segments", n)
 	}
 
-	j2, rec := openT(t, Options{Dir: dir})
+	j2, rec := openOn(t, st, Options{})
 	defer j2.Close()
 	if string(rec.Snapshot) != "state@10" {
 		t.Fatalf("snapshot = %q", rec.Snapshot)
@@ -107,9 +146,10 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	}
 }
 
-func TestNewerSnapshotWins(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openT(t, Options{Dir: dir})
+func TestNewerSnapshotWins(t *testing.T) { forEachStore(t, testNewerSnapshotWins) }
+
+func testNewerSnapshotWins(t *testing.T, st store) {
+	j, _ := openOn(t, st, Options{})
 	for i := 0; i < 3; i++ {
 		if _, err := j.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
@@ -126,7 +166,7 @@ func TestNewerSnapshotWins(t *testing.T) {
 	}
 	j.Close()
 
-	j2, rec := openT(t, Options{Dir: dir})
+	j2, rec := openOn(t, st, Options{})
 	defer j2.Close()
 	if string(rec.Snapshot) != "new" || rec.SnapshotLSN != 4 || len(rec.Records) != 0 {
 		t.Fatalf("recovery = snap %q @%d + %d records", rec.Snapshot, rec.SnapshotLSN, len(rec.Records))
@@ -191,8 +231,10 @@ func TestAbandonLosesNothingWithFsyncAlways(t *testing.T) {
 	}
 }
 
-func TestClosedJournalErrors(t *testing.T) {
-	j, _ := openT(t, Options{Dir: t.TempDir()})
+func TestClosedJournalErrors(t *testing.T) { forEachStore(t, testClosedJournalErrors) }
+
+func testClosedJournalErrors(t *testing.T, st store) {
+	j, _ := openOn(t, st, Options{})
 	j.Close()
 	if _, err := j.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v", err)
@@ -202,6 +244,9 @@ func TestClosedJournalErrors(t *testing.T) {
 	}
 	if err := j.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync after Close: %v", err)
+	}
+	if _, err := j.Absorb(&Export{FromLSN: 1, NextLSN: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Absorb after Close: %v", err)
 	}
 }
 

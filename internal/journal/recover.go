@@ -2,24 +2,21 @@ package journal
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// recover scans the journal directory, selects the newest valid snapshot,
+// recover scans the journal's store, selects the newest valid snapshot,
 // replays and validates the segment chain, and physically truncates any
 // torn tail in the final segment. It fills j.snaps, j.segStats, and
 // j.nextLSN; the caller then opens a fresh segment for new appends.
 func (j *Journal) recover() (*Recovery, error) {
-	entries, err := os.ReadDir(j.opts.Dir)
+	names, err := j.st.list()
 	if err != nil {
 		return nil, fmt.Errorf("journal: scanning dir: %w", err)
 	}
 	var segFirsts, snapLSNs []uint64
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		switch {
 		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal"):
 			var lsn uint64
@@ -37,7 +34,7 @@ func (j *Journal) recover() (*Recovery, error) {
 			}
 		case strings.HasSuffix(name, ".tmp"):
 			// A snapshot that crashed before its rename; never valid.
-			os.Remove(filepath.Join(j.opts.Dir, name))
+			_ = j.st.remove(name)
 		}
 	}
 	sort.Slice(segFirsts, func(a, b int) bool { return segFirsts[a] < segFirsts[b] })
@@ -50,7 +47,7 @@ func (j *Journal) recover() (*Recovery, error) {
 	// only deletes segments below the OLDEST kept snapshot).
 	for i := len(snapLSNs) - 1; i >= 0; i-- {
 		lsn := snapLSNs[i]
-		state, err := readSnapshotFile(filepath.Join(j.opts.Dir, snapName(lsn)))
+		state, err := j.readSnapshot(lsn)
 		if err != nil {
 			j.opts.Logf("journal: snapshot %s unusable, trying older: %v", snapName(lsn), err)
 			snapLSNs = snapLSNs[:i]
@@ -81,8 +78,7 @@ func (j *Journal) recover() (*Recovery, error) {
 			return nil, fmt.Errorf("journal: gap: expected segment starting at %d, found %d", nextLSN, first)
 		}
 		last := i == len(segFirsts)-1
-		path := filepath.Join(j.opts.Dir, segName(first))
-		payloads, truncated, err := j.readSegment(path, last)
+		payloads, truncated, err := j.readSegment(first, last)
 		if err != nil {
 			return nil, fmt.Errorf("journal: segment %s: %w", segName(first), err)
 		}
@@ -96,7 +92,7 @@ func (j *Journal) recover() (*Recovery, error) {
 		if last && len(payloads) == 0 {
 			// A fully torn (or legitimately empty) final segment: remove
 			// it so the fresh segment Open creates can take its name.
-			if err := os.Remove(path); err != nil {
+			if err := j.st.remove(segName(first)); err != nil {
 				return nil, fmt.Errorf("journal: removing empty segment: %w", err)
 			}
 			continue
@@ -115,13 +111,14 @@ func (j *Journal) recover() (*Recovery, error) {
 	return rec, nil
 }
 
-// readSegment validates one segment file and returns its record payloads
-// (copied, in order). For the final segment, a torn or corrupt tail is
+// readSegment validates the segment starting at LSN first and returns its
+// record payloads (copied, in order). For the final segment, a torn or corrupt tail is
 // physically truncated to the last valid record boundary and reported in
 // truncated; for any earlier segment the same condition is a hard error,
 // because records after it exist and the chain would silently skip LSNs.
-func (j *Journal) readSegment(path string, last bool) (payloads [][]byte, truncated int64, err error) {
-	b, err := os.ReadFile(path)
+func (j *Journal) readSegment(first uint64, last bool) (payloads [][]byte, truncated int64, err error) {
+	name := segName(first)
+	b, err := j.st.read(name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -132,7 +129,7 @@ func (j *Journal) readSegment(path string, last bool) (payloads [][]byte, trunca
 		}
 		// A crash during segment creation tore the header itself; no
 		// record can follow a torn header, so the whole file is dead.
-		return nil, int64(len(b)), truncateFile(path, 0)
+		return nil, int64(len(b)), j.st.truncate(name, 0)
 	}
 	off := len(magic)
 	for off < len(b) {
@@ -142,7 +139,7 @@ func (j *Journal) readSegment(path string, last bool) (payloads [][]byte, trunca
 				return nil, 0, rerr
 			}
 			truncated = int64(len(b) - off)
-			if terr := truncateFile(path, int64(off)); terr != nil {
+			if terr := j.st.truncate(name, int64(off)); terr != nil {
 				return nil, 0, terr
 			}
 			return payloads, truncated, nil
@@ -155,27 +152,10 @@ func (j *Journal) readSegment(path string, last bool) (payloads [][]byte, trunca
 	return payloads, 0, nil
 }
 
-// truncateFile truncates path to size and syncs it, so the discarded torn
-// bytes can never reappear after a second crash.
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(size); err != nil {
-		_ = f.Close() // the truncate error is the one worth reporting
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the one worth reporting
-		return err
-	}
-	return f.Close()
-}
-
-// readSnapshotFile validates and returns a snapshot's state payload.
-func readSnapshotFile(path string) ([]byte, error) {
-	b, err := os.ReadFile(path)
+// readSnapshot validates and returns the state payload of the snapshot
+// covering through lsn.
+func (j *Journal) readSnapshot(lsn uint64) ([]byte, error) {
+	b, err := j.st.read(snapName(lsn))
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +170,7 @@ func readSnapshotFile(path string) ([]byte, error) {
 	if len(magic)+n != len(b) {
 		return nil, fmt.Errorf("%w: trailing bytes after snapshot record", ErrCorrupt)
 	}
-	// The payload aliases the file buffer, which is otherwise unreferenced.
+	// The payload aliases the stored bytes, which are never modified:
+	// a snapshot is written once and only ever replaced whole.
 	return payload, nil
 }

@@ -75,9 +75,6 @@ const registeredMinWire = 5
 // Runs on the loop.
 func (s *Server) journalAdmit(m RegisteredMember) {
 	s.registry[m.ClientID] = m
-	if s.cfg.Journal == nil {
-		return
-	}
 	if _, err := s.cfg.Journal.Append(m.appendWire([]byte{recAdmit})); err != nil {
 		s.cfg.Logf("regserver: JOURNAL APPEND FAILED (restart durability degraded): %v", err)
 		return
@@ -97,9 +94,6 @@ func (s *Server) BumpKSharedEpoch() uint64 {
 	_ = s.loop.Call(func() {
 		s.ksharedEpoch++
 		epoch = s.ksharedEpoch
-		if s.cfg.Journal == nil {
-			return
-		}
 		b := codec.AppendUvarint([]byte{recKSharedEpoch}, epoch)
 		if _, err := s.cfg.Journal.Append(b); err != nil {
 			s.cfg.Logf("regserver: JOURNAL APPEND FAILED (restart durability degraded): %v", err)
@@ -186,9 +180,6 @@ func (s *Server) AddController(ac wire.ACInfo) error {
 	}
 	return s.loop.Call(func() {
 		s.upsertController(ac)
-		if s.cfg.Journal == nil {
-			return
-		}
 		b := appendACInfoWire([]byte{recACAdd}, ac)
 		if _, err := s.cfg.Journal.Append(b); err != nil {
 			s.cfg.Logf("regserver: JOURNAL APPEND FAILED (restart durability degraded): %v", err)
@@ -206,9 +197,6 @@ func (s *Server) AddController(ac wire.ACInfo) error {
 func (s *Server) RemoveController(id string) error {
 	return s.loop.Call(func() {
 		s.dropController(id)
-		if s.cfg.Journal == nil {
-			return
-		}
 		b := codec.AppendString([]byte{recACRemove}, id)
 		if _, err := s.cfg.Journal.Append(b); err != nil {
 			s.cfg.Logf("regserver: JOURNAL APPEND FAILED (restart durability degraded): %v", err)

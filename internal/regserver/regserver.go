@@ -111,13 +111,14 @@ type Config struct {
 	// Controllers seeds the directory of area controllers (id, address,
 	// public key). Required, non-empty. The live directory is dynamic:
 	// AddController and RemoveController change it at runtime (area
-	// splits spawn controllers, merges retire them), and with Journal set
-	// every change is durable.
+	// splits spawn controllers, merges retire them), and every change is
+	// journaled.
 	Controllers []wire.ACInfo
 	// Picker selects an area per client; nil means round-robin.
 	Picker AreaPicker
-	// Journal, if set, makes the member registry and K_shared epoch
-	// durable across restarts.
+	// Journal records the member registry, K_shared epoch and controller
+	// directory. Nil means a fresh journal in memory, which survives no
+	// restart.
 	Journal *journal.Journal
 	// Recovery, if set, is replayed into the registry before serving
 	// (pass the Recovery returned by journal.Open alongside Journal).
@@ -189,6 +190,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
+	// A memory journal holds no OS resources, so nothing needs to close
+	// the one opened here.
+	cfg.Journal = journal.OrMemory(cfg.Journal, journal.Options{Clock: cfg.Clock, Logf: cfg.Logf})
 	s := &Server{
 		cfg:         cfg,
 		clk:         cfg.Clock,

@@ -1,13 +1,15 @@
 // Package replica implements Mykil's fault-tolerance layer past the
 // paper's single passive backup (§IV-C): an area controller ships its
 // journal — segment records rather than full state snapshots — to N
-// replicas, and when the primary's heartbeats stop the replicas run a
-// Bully-style quorum leader election. Candidates are ordered by applied
-// journal LSN (ties broken by ID), so the winner always holds the
-// longest log; it rebuilds the controller with area.NewFromJournal,
+// replicas, each of which absorbs them into a journal of its own under
+// the primary's LSNs. When the primary's heartbeats stop the replicas run
+// a Bully-style quorum leader election. Candidates are ordered by
+// applied journal LSN (ties broken by ID), so the winner always holds
+// the longest log; it rebuilds the controller with area.NewFromJournal,
 // which regenerates byte-identical tree keys, and takes over with zero
-// member rejoins. Losers re-point their monitoring at the new leader and
-// keep replicating — the replica set heals itself.
+// member rejoins, journaling on from its replicated position. Losers
+// re-point their monitoring at the new leader and keep pulling its
+// journal — the replica set heals itself.
 //
 // With no peers configured the machinery degenerates to the paper's
 // passive backup: a quorum of one promotes immediately after the
@@ -81,15 +83,17 @@ type Config struct {
 	// the announcer relays the takeover notice on the winner's behalf.
 	Announcer bool
 	// ControllerConfig seeds the promoted controller (KShared, RSPub,
-	// Directory, timing...). Transport, Keys, ID, Clock are overridden
-	// with the replica's own.
+	// Directory, timing...). Transport, Keys, ID, Clock and Journal are
+	// overridden with the replica's own; the journal is the replica's
+	// in-memory copy of the primary's log.
 	ControllerConfig area.Config
-	// ColdState, if set, is a state recovered from a durable journal. It
-	// lets the replica promote even when the primary died before sending
-	// a single sync or heartbeat: after a takeover window of silence
-	// measured from Start, the replica restores from ColdState. Fresher
-	// replicated state always wins.
-	ColdState *area.State
+	// ColdState, if set, is the primary's journal as it stood at boot
+	// (journal.ExportFrom on the recovered journal). The replica absorbs
+	// it like a SegmentPush before Start, so it can promote even when
+	// the primary dies before a single heartbeat: after a takeover
+	// window of silence measured from Start, the winner restores from
+	// it. Pushes from the primary carry the log on from there.
+	ColdState *journal.Export
 	// OnPromote, if set, is called with the promoted controller.
 	OnPromote func(*area.Controller)
 	// Observer, if set, receives election and failover trace events. It
@@ -105,19 +109,13 @@ type Replica struct {
 	cfg Config
 	clk clock.Clock
 
-	// mu guards the replicated state and promotion result: accessors stay
-	// readable after the loop exits at promotion.
+	// log is the replicated journal: the primary's records under the
+	// primary's LSNs. The promoted controller journals on into it.
+	log *journal.Journal
+
+	// mu guards the monitor, election and promotion state: accessors
+	// stay readable after the loop exits at promotion.
 	mu sync.Mutex
-	// Snapshot-mode state (legacy full-state sync from unjournaled
-	// primaries).
-	state    *area.State
-	stateSeq uint64
-	// Journal-mode accumulation: a baseline snapshot plus the record tail
-	// — exactly the shape of a journal.Recovery.
-	base    []byte
-	baseLSN uint64
-	recs    [][]byte
-	nextLSN uint64 // next LSN needed; 0 until the first record lands
 
 	hbEvery  time.Duration
 	takeover time.Duration
@@ -153,10 +151,6 @@ type Replica struct {
 	loop *node.Loop
 }
 
-// Backup is the historical name for a Replica, kept for the passive
-// single-backup reading of §IV-C.
-type Backup = Replica
-
 // New validates the config and builds a replica.
 func New(cfg Config) (*Replica, error) {
 	if cfg.ID == "" || cfg.Transport == nil || cfg.Keys == nil {
@@ -179,9 +173,16 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
+	log := journal.OrMemory(nil, journal.Options{Clock: cfg.Clock, Logf: cfg.Logf})
+	if cfg.ColdState != nil {
+		if _, err := log.Absorb(cfg.ColdState); err != nil {
+			return nil, fmt.Errorf("replica: absorbing cold state: %w", err)
+		}
+	}
 	r := &Replica{
 		cfg:        cfg,
 		clk:        cfg.Clock,
+		log:        log,
 		hbEvery:    cfg.HeartbeatEvery,
 		primaryID:  cfg.PrimaryID,
 		primaryPub: cfg.PrimaryPub,
@@ -253,16 +254,11 @@ func (r *Replica) Promoted() (*area.Controller, error) {
 	return r.promoted, nil
 }
 
-// HasState reports whether any replicated state has been absorbed —
-// a full snapshot or at least one journal record.
-func (r *Replica) HasState() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state != nil || r.nextLSN > 0
-}
+// HasState reports whether any replicated state has been absorbed: at
+// least one journal record or a snapshot baseline.
+func (r *Replica) HasState() bool { return r.AppliedLSN() > 0 }
 
-// SyncCount reports how many syncs (snapshots or segment pushes that
-// advanced the log) were absorbed.
+// SyncCount reports how many segment pushes advanced the replicated log.
 func (r *Replica) SyncCount() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -270,42 +266,17 @@ func (r *Replica) SyncCount() int64 {
 }
 
 // AppliedLSN reports one past the last journal record absorbed (0 before
-// the first segment push).
+// anything was absorbed). It is the replica's durability position: the
+// election orders candidates by it.
 func (r *Replica) AppliedLSN() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nextLSN
-}
-
-// StateMembers reports how many members the latest absorbed full
-// snapshot contains (zero in segment-sync mode, where membership is not
-// materialized until promotion).
-func (r *Replica) StateMembers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state == nil {
-		return 0
+	if n := r.log.NextLSN(); n > 1 {
+		return n
 	}
-	return len(r.state.Members)
+	return 0
 }
 
 // Stats exposes the replica's metrics registry (elections won).
 func (r *Replica) Stats() *obs.Registry { return r.metrics }
-
-// positionLocked is the replica's durability position for candidate
-// ordering: the applied journal LSN, or the legacy snapshot sequence
-// when the primary replicates full states. Both are monotonic.
-func (r *Replica) positionLocked() uint64 {
-	if r.nextLSN > r.stateSeq {
-		return r.nextLSN
-	}
-	return r.stateSeq
-}
-
-// restorableLocked reports whether promotion has anything to restore.
-func (r *Replica) restorableLocked() bool {
-	return r.nextLSN > 0 || r.state != nil || r.cfg.ColdState != nil
-}
 
 // tick runs the heartbeat monitor and the election timer (loop context).
 func (r *Replica) tick() {
@@ -333,7 +304,7 @@ func (r *Replica) tick() {
 		since = r.started
 	}
 	silence := now.Sub(since)
-	if silence <= r.takeover+r.staggerLocked() || now.Before(r.suppressUntil) || !r.restorableLocked() {
+	if silence <= r.takeover+r.staggerLocked() || now.Before(r.suppressUntil) || !r.HasState() {
 		r.mu.Unlock()
 		return
 	}
@@ -367,7 +338,7 @@ func (r *Replica) startElection(reason string) {
 	r.electing = true
 	r.votes = make(map[string]bool)
 	r.electionEnds = now.Add(r.takeover + r.staggerLocked())
-	lsn := r.positionLocked()
+	lsn := r.AppliedLSN()
 	primary := r.primaryID
 	r.mu.Unlock()
 	r.trace.Event(obs.ProtoElection, primary, "candidate",
@@ -382,8 +353,6 @@ func (r *Replica) startElection(reason string) {
 
 func (r *Replica) handleFrame(f *wire.Frame) {
 	switch f.Kind {
-	case wire.KindReplicaSync:
-		r.handleSync(f)
 	case wire.KindReplicaHeartbeat:
 		r.handleHeartbeat(f)
 	case wire.KindSegmentPush:
@@ -418,36 +387,6 @@ func (r *Replica) verifyPrimary(f *wire.Frame) bool {
 	return pub.Verify(f.Body, f.Sig) == nil
 }
 
-// handleSync absorbs a legacy full-state snapshot from an unjournaled
-// primary.
-func (r *Replica) handleSync(f *wire.Frame) {
-	if !r.verifyPrimary(f) {
-		r.cfg.Logf("%s: replica sync with bad signature dropped", r.cfg.ID)
-		return
-	}
-	var sync wire.ReplicaSync
-	if err := wire.OpenBody(r.cfg.Keys, f.Body, &sync); err != nil {
-		r.cfg.Logf("%s: replica sync body: %v", r.cfg.ID, err)
-		return
-	}
-	st, err := area.DecodeState(sync.State)
-	if err != nil {
-		r.cfg.Logf("%s: replica state: %v", r.cfg.ID, err)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state != nil && sync.Seq <= r.stateSeq {
-		return // stale or duplicate snapshot
-	}
-	r.state = st
-	r.stateSeq = sync.Seq
-	r.syncCount++
-	r.lastHB = r.clk.Now()
-	r.hbSeen = true
-	r.primaryAddr = f.From
-}
-
 // handleHeartbeat notes primary liveness and pulls the journal tail when
 // the advertised position is ahead of ours.
 func (r *Replica) handleHeartbeat(f *wire.Frame) {
@@ -463,21 +402,12 @@ func (r *Replica) handleHeartbeat(f *wire.Frame) {
 	r.lastHB = now
 	r.hbSeen = true
 	r.primaryAddr = f.From
-	// The heartbeat advertises the primary's last position (journal LSN
-	// or legacy state sequence); pull when it passes what we hold. On a
-	// legacy primary the pull is answered with a full ReplicaSync, which
-	// repairs a lost snapshot push.
-	applied := r.stateSeq
-	if r.nextLSN > 0 && r.nextLSN-1 > applied {
-		applied = r.nextLSN - 1
-	}
+	// The heartbeat advertises the primary's last journal LSN; pull when
+	// it passes what we hold.
 	var fromLSN uint64
-	if hb.Seq > applied && now.Sub(r.lastPull) >= r.hbEvery {
+	if next := r.log.NextLSN(); hb.Seq >= next && now.Sub(r.lastPull) >= r.hbEvery {
 		r.lastPull = now
-		fromLSN = r.nextLSN
-		if fromLSN == 0 {
-			fromLSN = 1
-		}
+		fromLSN = next
 	}
 	r.mu.Unlock()
 	if fromLSN > 0 {
@@ -500,6 +430,14 @@ func (r *Replica) handleSegmentPush(f *wire.Frame) {
 		r.cfg.Logf("%s: segment push body: %v", r.cfg.ID, err)
 		return
 	}
+	if push.Snapshot != nil {
+		// A baseline replaces the whole log; refuse one that could not
+		// restore a controller rather than lose a good log to it.
+		if _, err := area.DecodeState(push.Snapshot); err != nil {
+			r.cfg.Logf("%s: segment push baseline: %v", r.cfg.ID, err)
+			return
+		}
+	}
 	r.mu.Lock()
 	now := r.clk.Now()
 	r.lastHB = now
@@ -509,40 +447,31 @@ func (r *Replica) handleSegmentPush(f *wire.Frame) {
 		r.hbEvery = push.HeartbeatEvery
 		r.takeover = r.takeoverWindow()
 	}
-	need := r.nextLSN
-	if need == 0 {
-		need = 1
+	advanced, err := r.log.Absorb(&journal.Export{
+		FromLSN:     push.FromLSN,
+		NextLSN:     push.NextLSN,
+		SnapshotLSN: push.SnapshotLSN,
+		Snapshot:    push.Snapshot,
+		Records:     push.Records,
+	})
+	if advanced {
+		r.syncCount++
 	}
-	changed := false
-	if push.Snapshot != nil && push.SnapshotLSN+1 > need {
-		r.base = push.Snapshot
-		r.baseLSN = push.SnapshotLSN
-		r.recs = nil
-		need = push.SnapshotLSN + 1
-		changed = true
-	}
-	if push.FromLSN > need {
-		// A gap: this push starts past what we hold. Re-pull from our
-		// actual position; the primary will include a baseline if the
-		// tail below it was compacted away.
+	if errors.Is(err, journal.ErrGap) {
+		// The push starts past what we hold. Re-pull from our actual
+		// position; the primary will include a baseline if the tail
+		// below it was compacted away.
 		r.lastPull = now
 		r.mu.Unlock()
 		r.sendPlain(f.From, wire.KindSegmentPull, wire.SegmentPull{
-			AreaID: push.AreaID, FromLSN: need,
+			AreaID: push.AreaID, FromLSN: r.log.NextLSN(),
 		})
 		return
 	}
-	if push.NextLSN > need {
-		skip := need - push.FromLSN
-		r.recs = append(r.recs, push.Records[skip:]...)
-		need = push.NextLSN
-		changed = true
-	}
-	if changed {
-		r.nextLSN = need
-		r.syncCount++
-	}
 	r.mu.Unlock()
+	if err != nil {
+		r.cfg.Logf("%s: absorbing segment push: %v", r.cfg.ID, err)
+	}
 }
 
 // handleElection is the voter side: acknowledge a candidate at least as
@@ -568,7 +497,7 @@ func (r *Replica) handleElection(f *wire.Frame) {
 		r.mu.Unlock()
 		return
 	}
-	mine := r.positionLocked()
+	mine := r.AppliedLSN()
 	if e.LSN > mine || (e.LSN == mine && e.CandidateID >= r.cfg.ID) {
 		// The candidate is at least as durable: stand down and let it
 		// collect the quorum. If no Coordinator emerges within the
@@ -600,9 +529,8 @@ func (r *Replica) handleElection(f *wire.Frame) {
 	}
 	// We hold a longer log than the candidate: bully it.
 	alreadyElecting := r.electing
-	restorable := r.restorableLocked()
 	r.mu.Unlock()
-	if !alreadyElecting && restorable {
+	if !alreadyElecting && r.HasState() {
 		r.startElection("bully")
 	}
 }
@@ -686,8 +614,8 @@ func (r *Replica) maybeWin() {
 	r.win(votes)
 }
 
-// win rebuilds the controller from the replicated journal (or state) and
-// takes over the area.
+// win rebuilds the controller from the replicated journal and takes over
+// the area.
 func (r *Replica) win(votes int) {
 	ctrl := r.buildController()
 	if ctrl == nil {
@@ -702,8 +630,8 @@ func (r *Replica) win(votes int) {
 	// Exit the loop so the replica stops consuming the shared transport —
 	// every subsequent frame then reaches the promoted controller.
 	r.loop.Exit()
+	lsn := r.AppliedLSN()
 	r.mu.Lock()
-	lsn := r.positionLocked()
 	primary := r.primaryID
 	r.mu.Unlock()
 	r.cElections.Inc()
@@ -734,44 +662,31 @@ func (r *Replica) win(votes int) {
 	}
 }
 
-// buildController restores the area controller from the freshest
-// replicated source: the accumulated journal first (byte-identical tree
-// keys), then the last full snapshot, then the cold state.
+// buildController restores the area controller from the replicated
+// journal (byte-identical tree keys) and hands it that journal, so it
+// carries on at the next LSN and the surviving replicas keep pulling
+// from where they stand.
 func (r *Replica) buildController() *area.Controller {
-	r.mu.Lock()
 	cfg := r.cfg.ControllerConfig
 	cfg.ID = r.cfg.ID
 	cfg.Transport = r.cfg.Transport
 	cfg.Keys = r.cfg.Keys
 	cfg.Clock = r.cfg.Clock
+	cfg.Journal = r.log
 	cfg.Logf = r.cfg.Logf
 	if cfg.Observer == nil {
 		cfg.Observer = r.cfg.Observer
 	}
-	var (
-		ctrl *area.Controller
-		err  error
-	)
-	if r.nextLSN > 0 {
-		rec := &journal.Recovery{
-			Snapshot:    r.base,
-			SnapshotLSN: r.baseLSN,
-			Records:     r.recs,
-		}
-		r.mu.Unlock()
-		ctrl, err = area.NewFromJournal(cfg, rec)
-	} else {
-		st := r.state
-		if st == nil {
-			st = r.cfg.ColdState
-		}
-		r.mu.Unlock()
-		if st == nil {
-			r.cfg.Logf("%s: election won with nothing to restore", r.cfg.ID)
-			return nil
-		}
-		ctrl, err = area.NewFromState(cfg, st)
+	ex, err := r.log.ExportFrom(1)
+	if err != nil {
+		r.cfg.Logf("%s: reading the replicated journal: %v", r.cfg.ID, err)
+		return nil
 	}
+	ctrl, err := area.NewFromJournal(cfg, &journal.Recovery{
+		Snapshot:    ex.Snapshot,
+		SnapshotLSN: ex.SnapshotLSN,
+		Records:     ex.Records,
+	})
 	if err != nil {
 		r.cfg.Logf("%s: promotion failed: %v", r.cfg.ID, err)
 		return nil

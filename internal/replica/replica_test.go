@@ -40,7 +40,7 @@ func keyPair(t *testing.T) *crypt.KeyPair {
 type rig struct {
 	t        *testing.T
 	net      *simnet.Network
-	backup   *Backup
+	backup   *Replica
 	primary  transport.Transport
 	priKeys  *crypt.KeyPair
 	backKeys *crypt.KeyPair
@@ -114,23 +114,37 @@ func sampleState(t *testing.T, memberKeys *crypt.KeyPair) *area.State {
 	}
 }
 
-// sendSync ships a signed state snapshot from the primary endpoint.
-func (r *rig) sendSync(st *area.State, seq uint64, signer *crypt.KeyPair) {
-	r.t.Helper()
+// baselinePush is a segment push carrying st as the snapshot baseline
+// at journal LSN lsn, with no records past it — what a primary ships a
+// replica whose position was compacted away.
+func baselinePush(t *testing.T, st *area.State, lsn uint64) wire.SegmentPush {
+	t.Helper()
 	blob, err := area.EncodeState(st)
 	if err != nil {
-		r.t.Fatalf("EncodeState: %v", err)
+		t.Fatalf("EncodeState: %v", err)
 	}
-	body, err := wire.SealBody(r.backKeys.Public(), wire.ReplicaSync{
-		AreaID: st.AreaID, Seq: seq, State: blob,
-	})
+	return wire.SegmentPush{AreaID: st.AreaID, FromLSN: lsn + 1, NextLSN: lsn + 1, SnapshotLSN: lsn, Snapshot: blob}
+}
+
+// sendPush ships one sealed segment push from the primary endpoint,
+// signed by signer.
+func sendPush(t *testing.T, from transport.Transport, to string, toPub crypt.PublicKey, push wire.SegmentPush, signer *crypt.KeyPair) {
+	t.Helper()
+	body, err := wire.SealBody(toPub, push)
 	if err != nil {
-		r.t.Fatalf("SealBody: %v", err)
+		t.Fatalf("SealBody: %v", err)
 	}
-	f := &wire.Frame{Kind: wire.KindReplicaSync, From: "primary", Body: body, Sig: signer.Sign(body)}
-	if err := r.primary.Send("backup", f); err != nil {
-		r.t.Fatalf("Send: %v", err)
+	f := &wire.Frame{Kind: wire.KindSegmentPush, From: from.Addr(), Body: body, Sig: signer.Sign(body)}
+	if err := from.Send(to, f); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
+}
+
+// sendSync ships a signed state baseline at journal LSN lsn from the
+// primary endpoint.
+func (r *rig) sendSync(st *area.State, lsn uint64, signer *crypt.KeyPair) {
+	r.t.Helper()
+	sendPush(r.t, r.primary, "backup", r.backKeys.Public(), baselinePush(r.t, st, lsn), signer)
 }
 
 // sendHeartbeat ships one signed heartbeat.
@@ -189,8 +203,8 @@ func TestAbsorbsStateAndStaysQuietWhileHeartbeating(t *testing.T) {
 	st := sampleState(t, keyPair(t))
 	r.sendSync(st, 1, r.priKeys)
 	waitFor(t, "state absorption", 5*time.Second, r.backup.HasState)
-	if r.backup.StateMembers() != 1 {
-		t.Errorf("StateMembers = %d", r.backup.StateMembers())
+	if got := r.backup.AppliedLSN(); got != 2 {
+		t.Errorf("AppliedLSN = %d, want 2 (baseline at LSN 1)", got)
 	}
 
 	// Keep heartbeats flowing well past the takeover window; the backup
@@ -221,12 +235,12 @@ func TestIgnoresStaleSyncSeq(t *testing.T) {
 	r.sendSync(st, 5, r.priKeys)
 	waitFor(t, "first sync", 5*time.Second, r.backup.HasState)
 
-	// An older (replayed) snapshot must not overwrite the newer one.
+	// An older (replayed) baseline must not overwrite the newer one.
 	empty := &area.State{AreaID: "area-0", Tree: keytree.New(keytree.Config{}).Export(), Seq: 2}
 	r.sendSync(empty, 2, r.priKeys)
 	time.Sleep(60 * time.Millisecond)
-	if r.backup.StateMembers() != 1 {
-		t.Errorf("stale sync replaced state: members = %d", r.backup.StateMembers())
+	if got := r.backup.AppliedLSN(); got != 6 {
+		t.Errorf("stale baseline moved the log: AppliedLSN = %d, want 6", got)
 	}
 	if r.backup.SyncCount() != 1 {
 		t.Errorf("SyncCount = %d, want 1", r.backup.SyncCount())
@@ -235,16 +249,9 @@ func TestIgnoresStaleSyncSeq(t *testing.T) {
 
 func TestRejectsCorruptStateBlob(t *testing.T) {
 	r := newRig(t, nil)
-	body, err := wire.SealBody(r.backKeys.Public(), wire.ReplicaSync{
-		AreaID: "area-0", Seq: 1, State: []byte("not a state blob"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &wire.Frame{Kind: wire.KindReplicaSync, From: "primary", Body: body, Sig: r.priKeys.Sign(body)}
-	if err := r.primary.Send("backup", f); err != nil {
-		t.Fatal(err)
-	}
+	sendPush(t, r.primary, "backup", r.backKeys.Public(), wire.SegmentPush{
+		AreaID: "area-0", FromLSN: 2, NextLSN: 2, SnapshotLSN: 1, Snapshot: []byte("not a state blob"),
+	}, r.priKeys)
 	time.Sleep(60 * time.Millisecond)
 	if r.backup.HasState() {
 		t.Error("corrupt state blob absorbed")
@@ -380,23 +387,11 @@ func newElectionRig(t *testing.T, n int, takeover time.Duration, mutate func(i i
 	return r
 }
 
-// syncTo ships a signed, sealed state snapshot to one replica.
-func (r *electionRig) syncTo(i int, st *area.State, seq uint64) {
+// syncTo ships a signed, sealed state baseline at journal LSN lsn to one
+// replica.
+func (r *electionRig) syncTo(i int, st *area.State, lsn uint64) {
 	r.t.Helper()
-	blob, err := area.EncodeState(st)
-	if err != nil {
-		r.t.Fatalf("EncodeState: %v", err)
-	}
-	body, err := wire.SealBody(r.keys[i].Public(), wire.ReplicaSync{
-		AreaID: st.AreaID, Seq: seq, State: blob,
-	})
-	if err != nil {
-		r.t.Fatalf("SealBody: %v", err)
-	}
-	f := &wire.Frame{Kind: wire.KindReplicaSync, From: "primary", Body: body, Sig: r.priKeys.Sign(body)}
-	if err := r.primary.Send(r.reps[i].cfg.ID, f); err != nil {
-		r.t.Fatalf("Send: %v", err)
-	}
+	sendPush(r.t, r.primary, r.reps[i].cfg.ID, r.keys[i].Public(), baselinePush(r.t, st, lsn), r.priKeys)
 }
 
 // promotedCount reports how many replicas promoted a controller.

@@ -93,7 +93,6 @@ func goldenBodies() map[Kind]Marshaler {
 		KindAreaJoinAck: AreaJoinAck{ParentID: "ac-a", ParentAreaID: "area-0",
 			Path: goldenPath(), Epoch: 18, Timestamp: goldenTime, Suite: crypt.SuiteAESGCM},
 		KindAreaJoinDenied:   AreaJoinDenied{ACID: "ac-b", Reason: "full"},
-		KindReplicaSync:      ReplicaSync{AreaID: "area-0", Seq: 19, State: []byte{0x5A, 0x5B, 0x5C}},
 		KindReplicaHeartbeat: ReplicaHeartbeat{AreaID: "area-0", Seq: 20},
 		KindACFailover: ACFailover{AreaID: "area-0", NewAddr: "10.0.0.5:7000",
 			NewPub: []byte{0xC3, 0xC4}, Epoch: 21},
@@ -154,6 +153,12 @@ func TestGoldenFrames(t *testing.T) {
 	bodies := goldenBodies()
 	// Every kind must have a fixture; a new kind without one fails here.
 	for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+		if reservedKind(k) {
+			if _, ok := bodies[k]; ok {
+				t.Errorf("reserved kind %d has a golden fixture", k)
+			}
+			continue
+		}
 		if _, ok := bodies[k]; !ok {
 			t.Errorf("kind %v has no golden fixture", k)
 		}
@@ -165,6 +170,9 @@ func TestGoldenFrames(t *testing.T) {
 		fmt.Fprintf(&buf, "# Regenerate ONLY on an intentional format change:\n")
 		fmt.Fprintf(&buf, "#   go test ./internal/wire -run TestGoldenFrames -update-golden\n")
 		for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+			if reservedKind(k) {
+				continue
+			}
 			f, err := goldenFrame(k, bodies[k])
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
@@ -187,6 +195,9 @@ func TestGoldenFrames(t *testing.T) {
 
 	goldens := readGoldens(t)
 	for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+		if reservedKind(k) {
+			continue
+		}
 		body := bodies[k]
 		f, err := goldenFrame(k, body)
 		if err != nil {

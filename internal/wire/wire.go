@@ -89,10 +89,12 @@ const (
 	KindAreaJoinAck    // parent AC -> child AC
 	KindAreaJoinDenied // refusal
 
-	// Primary-backup replication, §IV-C.
-	KindReplicaSync      // primary -> backup state snapshot
-	KindReplicaHeartbeat // primary -> backup liveness
-	KindACFailover       // backup -> area on takeover
+	// Primary-backup replication, §IV-C. Value 26 carried the retired
+	// full-state ReplicaSync push; it stays reserved and undecodable so
+	// every later kind keeps its number.
+	_
+	KindReplicaHeartbeat // primary -> replica liveness and journal LSN
+	KindACFailover       // replica -> area on takeover
 
 	// Quorum leader election and segment replication.
 	KindElection    // candidate replica -> replica set
@@ -131,7 +133,6 @@ var kindNames = map[Kind]string{
 	KindAreaJoinReq:      "AreaJoinReq",
 	KindAreaJoinAck:      "AreaJoinAck",
 	KindAreaJoinDenied:   "AreaJoinDenied",
-	KindReplicaSync:      "ReplicaSync",
 	KindReplicaHeartbeat: "ReplicaHeartbeat",
 	KindACFailover:       "ACFailover",
 	KindElection:         "Election",
@@ -511,17 +512,8 @@ type AreaJoinDenied struct {
 
 // ---- Replication (§IV-C) ----
 
-// ReplicaSync carries the primary's minimal replicated state: the
-// auxiliary tree, member public keys, and the parent/child controller
-// identities. State is pre-encoded by the area package.
-type ReplicaSync struct {
-	AreaID string
-	Seq    uint64
-	State  []byte
-}
-
 // ReplicaHeartbeat is the primary's periodic liveness signal to its
-// backup.
+// replicas; Seq is its last journal LSN.
 type ReplicaHeartbeat struct {
 	AreaID string
 	Seq    uint64

@@ -191,10 +191,30 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestAllKindsNamed(t *testing.T) {
-	for k := KindJoinRequest; k <= KindACFailover; k++ {
-		if _, ok := kindNames[k]; !ok {
+	for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+		if _, ok := kindNames[k]; !ok && !reservedKind(k) {
 			t.Errorf("kind %d has no name", k)
 		}
+	}
+}
+
+// reservedKind reports a wire value that is kept out of use: 26 carried
+// the retired full-state ReplicaSync push.
+func reservedKind(k Kind) bool { return k == KindReplicaHeartbeat-1 }
+
+// TestReservedKindUndecodable pins the retired slot: it has no name and
+// no body, so a frame of that kind is dropped as unknown, and every
+// later kind keeps its number.
+func TestReservedKindUndecodable(t *testing.T) {
+	k := KindReplicaHeartbeat - 1
+	if k != 26 || KindAreaReassign != 34 {
+		t.Fatalf("kind numbering moved: reserved slot %d, AreaReassign %d", k, KindAreaReassign)
+	}
+	if _, ok := NewBody(k); ok {
+		t.Error("reserved kind decodes")
+	}
+	if got := k.String(); got != "Kind(26)" {
+		t.Errorf("reserved kind String() = %q", got)
 	}
 }
 
